@@ -50,10 +50,11 @@ using apps::RunResult;
 /// sizes — across `waves` taskwait barriers. At this grain the per-task
 /// runtime overhead IS the workload, so the returned tasks/second measures
 /// the scheduler hot path (central RQ vs work stealing), not the kernels.
-[[nodiscard]] inline double sched_storm_tasks_per_sec(const rt::RuntimeConfig& cfg,
+[[nodiscard]] inline double sched_storm_tasks_per_sec(rt::SchedPolicy sched,
+                                                      unsigned threads,
                                                       std::size_t num_tasks,
                                                       int waves) {
-  rt::Runtime runtime(cfg);
+  rt::Runtime runtime({.num_threads = threads, .sched = sched});
   const auto* type =
       runtime.register_type({.name = "fine", .memoizable = false, .atm = {}});
   std::vector<float> cells(num_tasks, 1.0f);
@@ -75,60 +76,20 @@ using apps::RunResult;
   return static_cast<double>(num_tasks) * waves / secs;
 }
 
-[[nodiscard]] inline double sched_storm_tasks_per_sec(rt::SchedPolicy sched,
-                                                      unsigned threads,
-                                                      std::size_t num_tasks,
-                                                      int waves) {
-  return sched_storm_tasks_per_sec({.num_threads = threads, .sched = sched},
-                                   num_tasks, waves);
-}
-
-/// Median tasks/second of `reps` storm runs under an arbitrary RuntimeConfig
-/// (pr7 A/Bs the observability knobs: metrics off, task profiling, sampler).
-[[nodiscard]] inline double sched_storm_median(const rt::RuntimeConfig& cfg,
+/// Median tasks/second of `reps` storm runs.
+[[nodiscard]] inline double sched_storm_median(rt::SchedPolicy sched, unsigned threads,
                                                std::size_t num_tasks, int waves,
                                                int reps) {
   std::vector<double> rates;
   for (int r = 0; r < reps; ++r) {
-    rates.push_back(sched_storm_tasks_per_sec(cfg, num_tasks, waves));
+    rates.push_back(sched_storm_tasks_per_sec(sched, threads, num_tasks, waves));
   }
   std::sort(rates.begin(), rates.end());
   return rates[rates.size() / 2];
 }
 
-/// Interleaved storm A/B over N configurations: round-robin one run of each
-/// config per round so slow machine drift hits every config equally instead
-/// of landing in the ratios (the same protocol the cross-PR BENCH A/Bs use,
-/// applied within one process). Returns the per-config medians.
-[[nodiscard]] inline std::vector<double> sched_storm_medians_interleaved(
-    const std::vector<rt::RuntimeConfig>& cfgs, std::size_t num_tasks,
-    int waves, int reps) {
-  std::vector<std::vector<double>> rates(cfgs.size());
-  for (int r = 0; r < reps; ++r) {
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-      rates[c].push_back(sched_storm_tasks_per_sec(cfgs[c], num_tasks, waves));
-    }
-  }
-  std::vector<double> medians(cfgs.size());
-  for (std::size_t c = 0; c < cfgs.size(); ++c) {
-    std::sort(rates[c].begin(), rates[c].end());
-    medians[c] = rates[c][rates[c].size() / 2];
-  }
-  return medians;
-}
-
-/// Median tasks/second of `reps` storm runs.
-[[nodiscard]] inline double sched_storm_median(rt::SchedPolicy sched, unsigned threads,
-                                               std::size_t num_tasks, int waves,
-                                               int reps) {
-  return sched_storm_median({.num_threads = threads, .sched = sched}, num_tasks,
-                            waves, reps);
-}
-
-/// Six float input regions (the Blackscholes shape) for the gathered-vs-
-/// planned compute_key comparison. Shared by micro_atm and pr3_hotpath so
-/// both harnesses measure exactly the same workload and their numbers stay
-/// comparable.
+/// Six float input regions (the Blackscholes shape) for micro_atm's
+/// gathered-vs-planned compute_key comparison.
 struct MultiRegionKeyFixture {
   static constexpr std::size_t kRegions = 6;
   static constexpr std::size_t kFloatsPerRegion = 4096;

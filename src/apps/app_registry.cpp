@@ -21,15 +21,11 @@ rt::RuntimeConfig runtime_config(const RunConfig& config) {
   return {.num_threads = config.threads,
           .enable_tracing = config.tracing,
           .sched = config.sched,
-          .graph_log2_shards = config.graph_log2_shards,
-          .arena_block_tasks = config.arena_block_tasks,
           .help_taskwait = config.help_taskwait,
-          .metrics = config.metrics,
           .metrics_interval_ms = config.metrics_interval_ms,
           .metrics_live = config.metrics_live,
           .profile_tasks = config.profile_tasks,
-          .profile_max_types = config.profile_max_types,
-          .numa_policy = config.numa};
+          .profile_max_types = config.profile_max_types};
 }
 
 std::unique_ptr<AtmEngine> make_engine(const RunConfig& config) {
@@ -106,7 +102,7 @@ void finalize_result(RunResult& result, rt::Runtime& runtime, AtmEngine* engine,
   // the final registry snapshot — it includes everything the collectors see
   // at end-of-run, so harnesses get one coherent closing picture.
   result.metrics_series = runtime.metrics_series();
-  if (config.metrics) result.metrics = runtime.metrics().snapshot();
+  result.metrics = runtime.metrics().snapshot();
 }
 
 namespace {

@@ -34,11 +34,6 @@ struct RunConfig {
   EvictionPolicy eviction = EvictionPolicy::Fifo;
   bool tracing = false;
   std::uint64_t shuffle_seed = 0x5eedULL;
-  /// Submit-path tuning (PR 4): dependence-tracker shard count (log2) and
-  /// task-arena slab size, plumbed into every app's Runtime via
-  /// runtime_config(). Defaults match RuntimeConfig.
-  unsigned graph_log2_shards = 4;
-  unsigned arena_block_tasks = 256;
   /// Helping barrier (PR 5): the thread at a taskwait drains/steals tasks
   /// instead of parking. Off = the paper's parking barrier
   /// (`atm_run --taskwait=park`), kept for wave-boundary A/B runs.
@@ -68,10 +63,6 @@ struct RunConfig {
   std::string save_store_path{};
 
   // --- observability (src/obs/) ---
-  /// Register the runtime/engine metric collectors on the unified registry.
-  /// Off skips registration entirely (the A/B baseline for the overhead
-  /// gate); the raw subsystem atomics still count either way.
-  bool metrics = true;
   /// Background sampler period; 0 = no sampler thread. The sampled series
   /// lands in RunResult::metrics_series.
   std::uint64_t metrics_interval_ms = 0;
@@ -87,11 +78,6 @@ struct RunConfig {
   /// rt::RuntimeConfig::profile_max_types and AtmConfig::profile_max_types
   /// (`atm_run --profile-types=N`); types with id >= the cap run unprofiled.
   std::size_t profile_max_types = 256;
-
-  /// Best-effort NUMA placement for runtime slabs (`atm_run --numa`):
-  /// task-arena blocks and dependence-tracker shards. Silently a no-op on
-  /// single-node hosts; results are identical with any policy (PR 10).
-  NumaPolicy numa = NumaPolicy::Off;
 };
 
 /// Everything a run reports back to the harnesses.
@@ -130,8 +116,7 @@ struct RunResult {
   std::vector<std::vector<rt::TraceEvent>> trace_lanes;
   std::size_t trace_master_lane = 0;
 
-  /// Unified-registry snapshot taken at the end of the run (empty when
-  /// RunConfig::metrics is off — nothing was registered).
+  /// Unified-registry snapshot taken at the end of the run.
   obs::RegistrySnapshot metrics;
   /// Background sampler series (empty unless RunConfig::metrics_interval_ms).
   obs::MetricsSampler::Series metrics_series;
@@ -192,7 +177,7 @@ class App {
 [[nodiscard]] std::unique_ptr<AtmEngine> make_engine(const RunConfig& config);
 
 /// Shared helper: the RuntimeConfig every app runs under — one place to
-/// plumb threads/sched/tracing plus the PR-4 submit-path tuning knobs.
+/// plumb threads/sched/tracing/taskwait and the observability knobs.
 [[nodiscard]] rt::RuntimeConfig runtime_config(const RunConfig& config);
 
 /// Shared helper: fill the generic parts of a RunResult from a finished

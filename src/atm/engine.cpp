@@ -12,14 +12,15 @@ namespace atm {
 
 namespace {
 
-/// THT-side entry -> storage-layer entry (owned byte vectors; Raw encoding,
-/// the L2 store compresses on put when configured).
-store::MemoEntry to_store_entry(EvictedEntry&& evicted) {
+/// THT-side snapshot -> storage-layer entry (owned byte vectors; Raw
+/// encoding, the L2 store compresses on put when configured).
+store::MemoEntry to_store_entry(const store::MemoKey& key, rt::TaskId creator,
+                                OutputSnapshot&& snapshot) {
   store::MemoEntry entry;
-  entry.key = {evicted.type_id, evicted.key, evicted.p};
-  entry.creator = evicted.creator;
-  entry.regions.reserve(evicted.snapshot.regions.size());
-  for (auto& region : evicted.snapshot.regions) {
+  entry.key = key;
+  entry.creator = creator;
+  entry.regions.reserve(snapshot.regions.size());
+  for (auto& region : snapshot.regions) {
     store::MemoRegion r;
     r.raw_bytes = region.data.size();
     r.elem = static_cast<std::uint8_t>(region.elem);
@@ -28,6 +29,11 @@ store::MemoEntry to_store_entry(EvictedEntry&& evicted) {
     entry.regions.push_back(std::move(r));
   }
   return entry;
+}
+
+store::MemoEntry to_store_entry(EvictedEntry&& evicted) {
+  return to_store_entry({evicted.type_id, evicted.key, evicted.p}, evicted.creator,
+                        std::move(evicted.snapshot));
 }
 
 /// Storage-layer entry (Raw-decoded) -> THT-side snapshot.
@@ -282,20 +288,10 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
     rt::TaskId creator = 0;
     std::uint64_t c0 = 0, c1 = 0;
     if (tht_.lookup_and_copy(type.id(), key.key, p, task, &creator, &c0, &c1)) {
-      if (runtime_ != nullptr) {
-        runtime_->tracer().record(lane, rt::TraceState::Memoize, c0, c1);
-      }
       // mo: relaxed — monotonic statistics; snapshot() tolerates races.
-      stats_.copy_out_ns.fetch_add(c1 - c0, std::memory_order_relaxed);
       stats_.tht_hits.fetch_add(1, std::memory_order_relaxed);
       if (tol.active()) stats_.tolerance_hits.fetch_add(1, std::memory_order_relaxed);
-      stats_.log_reuse(creator);
-      if (prof != nullptr) {
-        prof->hits->inc();
-        prof->bytes_saved->inc(output_bytes(task));
-        prof->copy_ns->record(c1 - c0);
-      }
-      return Decision::Hit;
+      return serve_hit(task, lane, prof, creator, c0, c1);
     }
     // Multi-probe: a near-boundary input may have been stored one
     // quantization cell over — try the neighbor keys before giving up.
@@ -305,21 +301,11 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
     if (key.probe_count != 0 &&
         tht_.lookup_multi_and_copy(type.id(), key.probes.data(), key.probe_count, p,
                                    task, &creator, &c0, &c1, &which)) {
-      if (runtime_ != nullptr) {
-        runtime_->tracer().record(lane, rt::TraceState::Memoize, c0, c1);
-      }
       // mo: relaxed — monotonic statistics; snapshot() tolerates races.
-      stats_.copy_out_ns.fetch_add(c1 - c0, std::memory_order_relaxed);
       stats_.tht_hits.fetch_add(1, std::memory_order_relaxed);
       stats_.tolerance_hits.fetch_add(1, std::memory_order_relaxed);
       stats_.probe_hits.fetch_add(1, std::memory_order_relaxed);
-      stats_.log_reuse(creator);
-      if (prof != nullptr) {
-        prof->hits->inc();
-        prof->bytes_saved->inc(output_bytes(task));
-        prof->copy_ns->record(c1 - c0);
-      }
-      return Decision::Hit;
+      return serve_hit(task, lane, prof, creator, c0, c1);
     }
     // mo: relaxed — monotonic statistic; snapshot() tolerates races.
     stats_.tht_misses.fetch_add(1, std::memory_order_relaxed);
@@ -329,43 +315,24 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
       // Fall through to the capacity tier; on hit, promote the entry back
       // into the L1 THT (take() removes it from L2 — no double residency)
       // and serve the outputs directly.
+      const store::MemoKey l2_key{type.id(), key.key, p};
       store::MemoEntry entry;
-      if (l2_->take({type.id(), key.key, p}, &entry)) {
+      if (l2_->take(l2_key, &entry)) {
         const rt::TaskId entry_creator = entry.creator;
         OutputSnapshot snap = to_snapshot(std::move(entry));
         if (snap.matches_shape(task)) {
-          const std::uint64_t c0 = now_ns();
+          c0 = now_ns();
           snap.copy_to(task);
-          const std::uint64_t c1 = now_ns();
-          if (runtime_ != nullptr) {
-            runtime_->tracer().record(lane, rt::TraceState::Memoize, c0, c1);
-          }
+          c1 = now_ns();
           tht_.insert_snapshot(type.id(), key.key, p, entry_creator, snap);
           // mo: relaxed — monotonic statistics; snapshot() tolerates races.
-          stats_.copy_out_ns.fetch_add(c1 - c0, std::memory_order_relaxed);
           stats_.l2_hits.fetch_add(1, std::memory_order_relaxed);
           stats_.l2_promotions.fetch_add(1, std::memory_order_relaxed);
-          stats_.log_reuse(entry_creator);
-          if (prof != nullptr) {
-            prof->hits->inc();
-            prof->bytes_saved->inc(output_bytes(task));
-            prof->copy_ns->record(c1 - c0);
-          }
-          return Decision::Hit;
+          return serve_hit(task, lane, prof, entry_creator, c0, c1);
         }
         // Shape drifted (same key, different output layout): put the entry
         // back — some other consumer may still match it — and miss.
-        store::MemoEntry back;
-        back.key = {type.id(), key.key, p};
-        back.creator = entry_creator;
-        for (auto& region : snap.regions) {
-          store::MemoRegion r;
-          r.raw_bytes = region.data.size();
-          r.elem = static_cast<std::uint8_t>(region.elem);
-          r.data = std::move(region.data);
-          back.regions.push_back(std::move(r));
-        }
-        l2_->put(std::move(back));
+        l2_->put(to_store_entry(l2_key, entry_creator, std::move(snap)));
       }
     }
 
@@ -402,6 +369,23 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
     ikt_.register_or_attach(type.id(), key.key, p, &task, /*allow_attach=*/false);
   }
   return Decision::Execute;
+}
+
+rt::MemoizationHook::Decision AtmEngine::serve_hit(rt::Task& task, std::size_t lane,
+                                                   TypeProfile* prof, rt::TaskId creator,
+                                                   std::uint64_t c0, std::uint64_t c1) {
+  if (runtime_ != nullptr) {
+    runtime_->tracer().record(lane, rt::TraceState::Memoize, c0, c1);
+  }
+  // mo: relaxed — monotonic statistic; snapshot() tolerates races.
+  stats_.copy_out_ns.fetch_add(c1 - c0, std::memory_order_relaxed);
+  stats_.log_reuse(creator);
+  if (prof != nullptr) {
+    prof->hits->inc();
+    prof->bytes_saved->inc(output_bytes(task));
+    prof->copy_ns->record(c1 - c0);
+  }
+  return Decision::Hit;
 }
 
 void AtmEngine::on_task_executed(rt::Task& task, std::size_t lane) {

@@ -120,6 +120,12 @@ class AtmEngine final : public rt::MemoizationHook {
   /// registry yet) or past the AtmConfig::profile_max_types cap.
   TypeProfile* profile_for(const rt::TaskType& type);
 
+  /// The bookkeeping every hit path shares once `task`'s outputs were
+  /// copied in during [c0, c1): the Memoize trace span, copy-out time, the
+  /// reuse log and the type's profile. Each path counts its own hit counter.
+  Decision serve_hit(rt::Task& task, std::size_t lane, TypeProfile* prof,
+                     rt::TaskId creator, std::uint64_t c0, std::uint64_t c1);
+
   /// Drop everything registered on the current runtime's registry: the
   /// collector and the cached per-type profile instruments.
   void release_registry();

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/mutex.hpp"
-#include "common/numa.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "runtime/dependency_tracker.hpp"
@@ -88,21 +87,11 @@ struct RuntimeConfig {
   /// is the default; Central is the paper's single mutex+condvar RQ, kept
   /// for A/B comparison (`atm_run --sched central`).
   SchedPolicy sched = SchedPolicy::Steal;
-  /// Dependence-tracker shards (log2, capped at 6): the submit-path lock
-  /// granularity. More shards = more concurrent submitters on disjoint
-  /// footprints; 0 = one shard (the pre-PR-4 single-lock behavior).
-  unsigned graph_log2_shards = 4;
-  /// Task records carved per arena slab.
-  unsigned arena_block_tasks = 256;
   /// Helping barrier: the thread at a taskwait registers as a transient
   /// worker and drains/steals tasks instead of parking on a condvar —
   /// wave-boundary latency on few-core hosts is the payoff. Off = the
   /// paper's parking barrier, kept for A/B (`atm_run --taskwait=park`).
   bool help_taskwait = true;
-  /// Export the runtime/scheduler/arena/dep-index counters through the
-  /// metrics registry (collector registration at construction; the registry
-  /// itself always exists — see Runtime::metrics()).
-  bool metrics = true;
   /// >0 starts a background MetricsSampler snapshotting the registry at
   /// this interval into a bounded ring (`atm_run --metrics-json`).
   std::uint64_t metrics_interval_ms = 0;
@@ -118,11 +107,6 @@ struct RuntimeConfig {
   /// attached engine's hit/miss/latency profiles). One atomic pointer per
   /// slot, sized at construction (`atm_run --profile-types=N`).
   std::size_t profile_max_types = 256;
-  /// Best-effort NUMA placement of task-arena slabs and dependence-tracker
-  /// shards (`atm_run --numa`). Off by default; silently a no-op on
-  /// single-node hosts — results are bit-identical either way, only page
-  /// placement (and thus steal-path memory locality) changes.
-  NumaPolicy numa_policy = NumaPolicy::Off;
 };
 
 /// Monotonic counters; cheap enough to keep always-on.
@@ -249,7 +233,6 @@ class Runtime {
 
   TaskArena arena_;
   ShardedDependencyTracker tracker_;
-  // (both sized from RuntimeConfig in the constructor)
   std::atomic<std::uint64_t> pending_tasks_{0};
   Mutex wait_mutex_;
   CondVar all_done_cv_;

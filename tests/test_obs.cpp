@@ -306,17 +306,6 @@ TEST(RuntimeMetrics, RegistryExportsAllFamiliesAfterRun) {
   EXPECT_DOUBLE_EQ(snap.find("runtime.tasks_executed")->value, 64.0);
 }
 
-TEST(RuntimeMetrics, MetricsOffSkipsCollectors) {
-  rt::Runtime runtime({.num_threads = 1, .metrics = false});
-  const auto* type =
-      runtime.register_type({.name = "t", .memoizable = false, .atm = {}});
-  int cell = 0;
-  runtime.submit(type, [] {}, {rt::inout(&cell, 1)});
-  runtime.taskwait();
-  const RegistrySnapshot snap = runtime.metrics().snapshot();
-  EXPECT_EQ(snap.find("runtime.tasks_submitted"), nullptr);
-}
-
 TEST(RuntimeMetrics, HelpingBarrierCountsSessions) {
   rt::Runtime runtime({.num_threads = 2, .help_taskwait = true});
   const auto* type =
@@ -430,6 +419,68 @@ TEST(EngineMetrics, ExportsAtmCountersAndTypeProfiles) {
   const MetricSample* copy = snap.find("atm.type.square.copy_ns");
   ASSERT_NE(copy, nullptr);
   EXPECT_EQ(copy->hist.count, 1u);
+}
+
+TEST(EngineMetrics, EveryServePathFeedsTypeProfile) {
+  // One-entry THT with the L2 tier behind it, and tolerance keys with
+  // neighbor probes: the three ways a task is served without executing.
+  AtmEngine engine({.mode = AtmMode::Static,
+                    .log2_buckets = 0,
+                    .bucket_capacity = 1,
+                    .use_ikt = false,
+                    .tolerance_abs = 0.5,
+                    .tolerance_probes = 2,
+                    .l2_enabled = true});
+  rt::Runtime runtime({.num_threads = 1});
+  runtime.attach_memoizer(&engine);
+  const auto* type =
+      runtime.register_type({.name = "serve", .memoizable = true, .atm = {}});
+
+  struct Profile {
+    double hits = 0, bytes_saved = 0;
+    std::uint64_t copies = 0;
+  };
+  auto profile = [&runtime] {
+    const RegistrySnapshot snap = runtime.metrics().snapshot();
+    Profile p;
+    if (const MetricSample* m = snap.find("atm.type.serve.hits")) p.hits = m->value;
+    if (const MetricSample* m = snap.find("atm.type.serve.bytes_saved")) {
+      p.bytes_saved = m->value;
+    }
+    if (const MetricSample* m = snap.find("atm.type.serve.copy_ns")) p.copies = m->hist.count;
+    return p;
+  };
+  double out = 0.0;
+  auto run = [&](double in) {
+    runtime.submit(type, [&out, in] { out = in; }, {rt::in(&in, 1), rt::out(&out, 1)});
+    runtime.taskwait();
+  };
+  // Each served task adds exactly one hit, one copy-out sample and its
+  // output bytes to the type's profile.
+  auto expect_one_serve = [&](const Profile& before) {
+    const Profile after = profile();
+    EXPECT_DOUBLE_EQ(after.hits - before.hits, 1.0);
+    EXPECT_EQ(after.copies - before.copies, 1u);
+    EXPECT_DOUBLE_EQ(after.bytes_saved - before.bytes_saved, double{sizeof out});
+  };
+
+  run(7.45);  // miss: executes and fills the THT
+  Profile before = profile();
+  run(7.45);  // primary-key THT hit
+  expect_one_serve(before);
+  EXPECT_EQ(engine.stats().tht_hits, 1u);
+
+  before = profile();
+  run(7.55);  // the next quantization cell: served by a neighbor probe
+  expect_one_serve(before);
+  EXPECT_EQ(engine.stats().probe_hits, 1u);
+
+  run(20.0);  // miss: its insert demotes 7.45's entry into the L2 tier
+  before = profile();
+  run(7.45);  // THT miss, L2 hit: promoted back and served
+  expect_one_serve(before);
+  EXPECT_EQ(engine.stats().l2_promotions, 1u);
+  EXPECT_DOUBLE_EQ(out, 7.45);
 }
 
 TEST(EngineMetrics, ProfileTypeCapSkipsEngineProfiles) {

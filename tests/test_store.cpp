@@ -242,7 +242,7 @@ class SnapshotIoTest : public ::testing::Test {
     return image;
   }
 
-  std::string path_ = "test_store_snapshot.atmstore";
+  std::string path_;
 };
 
 TEST_F(SnapshotIoTest, SaveLoadRoundtrip) {

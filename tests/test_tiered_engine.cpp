@@ -180,8 +180,15 @@ AtmConfig scan_config(bool l2, bool compress = false) {
 
 class TieredEngineTest : public ::testing::Test {
  protected:
+  void SetUp() override {
+    // One file per test case: ctest runs gtest cases as separate parallel
+    // processes in the same directory, so a shared fixture path races.
+    store_path_ = std::string("test_tiered_engine_") +
+                  ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                  ".atmstore";
+  }
   void TearDown() override { std::remove(store_path_.c_str()); }
-  std::string store_path_ = "test_tiered_engine.atmstore";
+  std::string store_path_;
 };
 
 // Acceptance (b): with the L2 tier, the same tiny L1 yields a strictly
