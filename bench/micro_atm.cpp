@@ -165,8 +165,8 @@ void BM_ComputeKey_Planned(benchmark::State& state) {
 BENCHMARK(BM_ComputeKey_Planned)->Arg(50)->Arg(100)->Arg(300);
 
 void BM_Tht_InsertEvictCycle(benchmark::State& state) {
-  // Small M so eviction continuously recycles arena buffers (steady state).
-  TaskHistoryTable tht(4, 4, /*arena_reserve=*/8 << 20);
+  // Small M so every insert in steady state also evicts.
+  TaskHistoryTable tht(4, 4);
   auto block = random_block(5);
   rt::Task producer;
   producer.id = 1;

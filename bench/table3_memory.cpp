@@ -32,8 +32,8 @@ int main() {
   std::cout << "\nAverage overhead = "
             << fmt_percent(sum / static_cast<double>(apps_list.size()))
             << "  (paper average: 9.4%)\n"
-            << "ATM memory counts THT snapshots + IKT + sampler index caches +\n"
-               "training state actually pinned at the end of the run; the\n"
-               "pre-faulted arena slack is recyclable and excluded (docs/DESIGN.md §5).\n";
+            << "ATM memory counts stored THT payloads + per-entry overhead + IKT +\n"
+               "sampler index caches + training state pinned at the end of the run\n"
+               "(docs/DESIGN.md §5).\n";
   return 0;
 }

@@ -79,15 +79,6 @@ void finalize_result(RunResult& result, rt::Runtime& runtime, AtmEngine* engine,
       result.blacklist_size = engine->blacklist_size(*memoized_type);
     }
   }
-  // Runtime-side observability rides in the ATM snapshot so the harnesses
-  // see it uniformly — even in mode Off, where there is no engine at all.
-  // (Filled after the engine snapshot copy: the engine knows nothing about
-  // these fields and would zero them.)
-  const rt::DepIndexStats dep = runtime.dep_index_stats();
-  result.atm.dep_exact_hits = dep.exact_hits;
-  result.atm.dep_tree_fallbacks = dep.tree_fallbacks;
-  result.atm.prune_scans = dep.prune_scans;
-  result.sched = runtime.sched_stats();
   if (config.tracing) {
     const auto& tracer = runtime.tracer();
     for (std::size_t lane = 0; lane < tracer.lane_count(); ++lane) {

@@ -101,10 +101,6 @@ struct RunResult {
   std::size_t atm_memory_bytes = 0; ///< ATM structures (Table III numerator)
   std::size_t task_input_bytes = 0; ///< memoized task's input size (Table I)
 
-  /// Scheduler observability (adaptive inbox batch cap, steal misses) read
-  /// from the runtime before teardown.
-  rt::SchedulerStats sched;
-
   /// Trace data (only when RunConfig::tracing): per-lane summaries etc. are
   /// read from the runtime before teardown and stored here.
   std::vector<rt::LaneSummary> lane_summaries;

@@ -43,13 +43,6 @@ struct AtmStatsSnapshot {
   std::uint64_t l2_payload_bytes = 0;   ///< resident L2 payload (post-compression)
   std::uint64_t l2_memory_bytes = 0;    ///< payload + L2 index overhead
 
-  // --- two-level dependence index (runtime-side; filled by
-  // apps::finalize_result from Runtime::dep_index_stats, NOT by the engine
-  // — so they are populated even in mode Off) -------------------------------
-  std::uint64_t dep_exact_hits = 0;      ///< accesses served by the (begin,len) table
-  std::uint64_t dep_tree_fallbacks = 0;  ///< accesses that walked the interval tree
-  std::uint64_t prune_scans = 0;         ///< amortized prune sweeps executed
-
   /// Reuse events in completion order: the creator task id whose stored
   /// outputs satisfied a consumer (THT hit, IKT hit, or training hit).
   /// Bounded: at most the configured cap entries; the overflow is counted.

@@ -12,43 +12,6 @@ namespace atm {
 
 namespace {
 
-/// THT-side snapshot -> storage-layer entry (owned byte vectors; Raw
-/// encoding, the L2 store compresses on put when configured).
-store::MemoEntry to_store_entry(const store::MemoKey& key, rt::TaskId creator,
-                                OutputSnapshot&& snapshot) {
-  store::MemoEntry entry;
-  entry.key = key;
-  entry.creator = creator;
-  entry.regions.reserve(snapshot.regions.size());
-  for (auto& region : snapshot.regions) {
-    store::MemoRegion r;
-    r.raw_bytes = region.data.size();
-    r.elem = static_cast<std::uint8_t>(region.elem);
-    r.encoding = store::RegionEncoding::Raw;
-    r.data = std::move(region.data);
-    entry.regions.push_back(std::move(r));
-  }
-  return entry;
-}
-
-store::MemoEntry to_store_entry(EvictedEntry&& evicted) {
-  return to_store_entry({evicted.type_id, evicted.key, evicted.p}, evicted.creator,
-                        std::move(evicted.snapshot));
-}
-
-/// Storage-layer entry (Raw-decoded) -> THT-side snapshot.
-OutputSnapshot to_snapshot(store::MemoEntry&& entry) {
-  OutputSnapshot snap;
-  snap.regions.reserve(entry.regions.size());
-  for (auto& r : entry.regions) {
-    OutputSnapshot::Region region;
-    region.elem = static_cast<rt::ElemType>(r.elem);
-    region.data = std::move(r.data);
-    snap.regions.push_back(std::move(region));
-  }
-  return snap;
-}
-
 /// Bytes a hit delivered without execution (the per-type bytes_saved metric).
 std::size_t output_bytes(const rt::Task& task) noexcept {
   std::size_t n = 0;
@@ -64,8 +27,8 @@ AtmEngine::AtmEngine(AtmConfig config)
     : config_(config),
       profile_max_types_(config.profile_max_types),
       profiles_(std::make_unique<std::atomic<TypeProfile*>[]>(config.profile_max_types)),
-      tht_(config.log2_buckets, config.bucket_capacity, config.arena_reserve_bytes,
-           config.verify_full_inputs, config.eviction),
+      tht_(config.log2_buckets, config.bucket_capacity, config.verify_full_inputs,
+           config.eviction),
       ikt_(),
       sampler_(config.type_aware, config.shuffle_seed) {
   stats_.set_reuse_log_cap(config_.reuse_log_cap);
@@ -76,10 +39,10 @@ AtmEngine::AtmEngine(AtmConfig config)
         .compress = config_.l2_compress,
     });
     // Demotion seam: every THT capacity eviction lands in the L2 tier.
-    tht_.set_eviction_sink([this](EvictedEntry&& evicted) {
+    tht_.set_eviction_sink([this](store::MemoEntry&& evicted) {
       // mo: relaxed — monotonic statistic; snapshot() tolerates races.
       stats_.l2_demotions.fetch_add(1, std::memory_order_relaxed);
-      l2_->put(to_store_entry(std::move(evicted)));
+      l2_->put(std::move(evicted));
     });
   }
 }
@@ -315,24 +278,22 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
       // Fall through to the capacity tier; on hit, promote the entry back
       // into the L1 THT (take() removes it from L2 — no double residency)
       // and serve the outputs directly.
-      const store::MemoKey l2_key{type.id(), key.key, p};
       store::MemoEntry entry;
-      if (l2_->take(l2_key, &entry)) {
-        const rt::TaskId entry_creator = entry.creator;
-        OutputSnapshot snap = to_snapshot(std::move(entry));
-        if (snap.matches_shape(task)) {
+      if (l2_->take({type.id(), key.key, p}, &entry)) {
+        if (output_shape_matches(entry, task)) {
           c0 = now_ns();
-          snap.copy_to(task);
+          copy_out(entry, task);
           c1 = now_ns();
-          tht_.insert_snapshot(type.id(), key.key, p, entry_creator, snap);
+          creator = entry.creator;
+          tht_.insert(std::move(entry));
           // mo: relaxed — monotonic statistics; snapshot() tolerates races.
           stats_.l2_hits.fetch_add(1, std::memory_order_relaxed);
           stats_.l2_promotions.fetch_add(1, std::memory_order_relaxed);
-          return serve_hit(task, lane, prof, entry_creator, c0, c1);
+          return serve_hit(task, lane, prof, creator, c0, c1);
         }
         // Shape drifted (same key, different output layout): put the entry
         // back — some other consumer may still match it — and miss.
-        l2_->put(to_store_entry(l2_key, entry_creator, std::move(snap)));
+        l2_->put(std::move(entry));
       }
     }
 
@@ -353,15 +314,13 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
 
   // --- Training phase (Dynamic ATM): emulate memoization, then execute ---
   ctl.note_trained_task();
-  OutputSnapshot snapshot;
-  rt::TaskId creator = 0;
-  if (tht_.lookup_snapshot(type.id(), key.key, p, &snapshot, &creator)) {
-    if (snapshot.matches_shape(task)) {
-      // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-      stats_.training_hits.fetch_add(1, std::memory_order_relaxed);
-      MutexLock lock(checks_mutex_);
-      pending_checks_.emplace(&task, PendingCheck{std::move(snapshot), creator});
-    }
+  store::MemoEntry stored;
+  if (tht_.lookup_entry(type.id(), key.key, p, &stored) &&
+      output_shape_matches(stored, task)) {
+    // mo: relaxed — monotonic statistic; snapshot() tolerates races.
+    stats_.training_hits.fetch_add(1, std::memory_order_relaxed);
+    MutexLock lock(checks_mutex_);
+    pending_checks_.emplace(&task, std::move(stored));
   }
   if (config_.use_ikt) {
     // Register as in-flight so steady-state twins could defer on us, but
@@ -394,9 +353,9 @@ void AtmEngine::on_task_executed(rt::Task& task, std::size_t lane) {
   TrainingController& ctl = controller(type);
 
   // 1. Training verification: compare the fresh outputs against the
-  //    snapshot the approximation would have delivered.
+  //    entry the approximation would have delivered.
   bool had_check = false;
-  PendingCheck check;
+  store::MemoEntry check;
   {
     MutexLock lock(checks_mutex_);
     auto it = pending_checks_.find(&task);
@@ -407,7 +366,7 @@ void AtmEngine::on_task_executed(rt::Task& task, std::size_t lane) {
     }
   }
   if (had_check) {
-    const double tau = task_output_tau(task, check.snapshot);
+    const double tau = task_output_tau(task, check);
     if (tau >= ctl.params().tau_max) {
       // mo: relaxed — monotonic statistic; snapshot() tolerates races.
       stats_.training_failures.fetch_add(1, std::memory_order_relaxed);
@@ -503,9 +462,7 @@ bool AtmEngine::save_store(const std::string& path, std::string* error) const {
       image.controllers.push_back(state);
     }
   }
-  tht_.for_each_entry([&image](EvictedEntry&& e) {
-    image.l1.push_back(to_store_entry(std::move(e)));
-  });
+  tht_.for_each_entry([&image](const store::MemoEntry& e) { image.l1.push_back(e); });
   if (l2_ != nullptr) {
     l2_->for_each([&image](const store::MemoEntry& e) { image.l2.push_back(e); });
   }
@@ -525,13 +482,10 @@ bool AtmEngine::load_store(const std::string& path, std::string* error) {
   // eviction sink (when the L2 tier is on) demotes the overflow instead of
   // losing it.
   for (store::MemoEntry& e : image->l1) {
-    const store::MemoKey key = e.key;
-    const std::uint64_t creator = e.creator;
     bool decoded = true;
     for (auto& r : e.regions) decoded = decoded && store::decode_region(&r);
     if (!decoded) continue;  // checksummed payloads should never hit this
-    tht_.insert_snapshot(key.type_id, key.hash, key.p, creator,
-                         to_snapshot(std::move(e)));
+    tht_.insert(std::move(e));
   }
   if (l2_ != nullptr) {
     for (store::MemoEntry& e : image->l2) l2_->put(std::move(e));
@@ -553,7 +507,7 @@ std::size_t AtmEngine::memory_bytes() const {
     MutexLock lock(checks_mutex_);
     for (const auto& [task, check] : pending_checks_) {
       (void)task;
-      n += check.snapshot.total_bytes();
+      n += check.payload_bytes();
     }
   }
   return n;

@@ -11,7 +11,7 @@
 //        │                            postponeCopyOuts()            => Deferred
 //        │                            miss ──► register in IKT      => Execute
 //        │
-//        └─ training (Dynamic): THT hit => remember snapshot, still Execute;
+//        └─ training (Dynamic): THT hit => remember the entry, still Execute;
 //           after execution compare tau against tau_max, double p on
 //           failure, blacklist chaotic outputs, count successes.
 //
@@ -74,7 +74,7 @@ class AtmEngine final : public rt::MemoizationHook {
   [[nodiscard]] InFlightKeyTable& ikt() noexcept { return ikt_; }
   [[nodiscard]] InputSampler& sampler() noexcept { return sampler_; }
   /// The L2 capacity tier; nullptr unless AtmConfig::l2_enabled.
-  [[nodiscard]] store::MemoStore* l2() noexcept { return l2_.get(); }
+  [[nodiscard]] store::L2CapacityStore* l2() noexcept { return l2_.get(); }
 
   // --- persistent warm start (src/store/snapshot_io) ---
   /// Serialize THT + L2 + per-type p-controller state to `path`.
@@ -97,11 +97,6 @@ class AtmEngine final : public rt::MemoizationHook {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  struct PendingCheck {
-    OutputSnapshot snapshot;
-    rt::TaskId creator = 0;
-  };
-
   /// Per-task-type profile on the unified registry: hit rate, bytes the
   /// hits saved, and the latency distributions of the three engine phases
   /// (all recorded from timestamps the engine already takes — no extra
@@ -168,7 +163,9 @@ class AtmEngine final : public rt::MemoizationHook {
       ATM_GUARDED_BY(controllers_mutex_);
 
   mutable Mutex checks_mutex_;
-  std::unordered_map<const rt::Task*, PendingCheck> pending_checks_
+  /// Training checks in flight: the stored entry each task's fresh outputs
+  /// are compared against once it has executed.
+  std::unordered_map<const rt::Task*, store::MemoEntry> pending_checks_
       ATM_GUARDED_BY(checks_mutex_);
 };
 

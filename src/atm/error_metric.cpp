@@ -46,15 +46,13 @@ void ChebyshevAccumulator::add_bytes(rt::ElemType elem,
   }
 }
 
-double task_output_tau(const rt::Task& task, const OutputSnapshot& snapshot) {
+double task_output_tau(const rt::Task& task, const store::MemoEntry& stored) {
   ChebyshevAccumulator acc;
   std::size_t i = 0;
   for (const auto& a : task.accesses) {
     if (!a.is_output()) continue;
-    if (i >= snapshot.regions.size()) break;
-    const auto& region = snapshot.regions[i];
-    acc.add_bytes(a.elem, a.const_bytes(),
-                  std::span<const std::uint8_t>(region.data.data(), region.data.size()));
+    if (i >= stored.regions.size()) break;
+    acc.add_bytes(a.elem, a.const_bytes(), stored.regions[i].data);
     ++i;
   }
   return acc.value();

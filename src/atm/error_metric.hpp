@@ -16,8 +16,9 @@
 #include <cmath>
 #include <span>
 
-#include "atm/tht.hpp"
 #include "runtime/data_access.hpp"
+#include "runtime/task.hpp"
+#include "store/memo_store.hpp"
 
 namespace atm {
 
@@ -86,9 +87,9 @@ struct ChebyshevAccumulator {
   }
 };
 
-/// tau between a task's freshly computed outputs and a THT snapshot of the
+/// tau between a task's freshly computed outputs and a stored entry of the
 /// same shape (the Dynamic ATM training check, §III-D).
-[[nodiscard]] double task_output_tau(const rt::Task& task, const OutputSnapshot& snapshot);
+[[nodiscard]] double task_output_tau(const rt::Task& task, const store::MemoEntry& stored);
 
 /// Whole-program correctness in percent from an Euclidean relative error
 /// (Eq. 3 / Eq. 4 value).

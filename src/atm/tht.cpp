@@ -6,35 +6,48 @@
 
 namespace atm {
 
-OutputSnapshot OutputSnapshot::capture(const rt::Task& task) {
-  OutputSnapshot snap;
+namespace {
+
+/// Owned Raw copies of `task`'s output (or, with `outputs` false, input)
+/// regions in declaration order.
+std::vector<store::MemoRegion> capture_regions(const rt::Task& task, bool outputs) {
+  std::vector<store::MemoRegion> regions;
   for (const auto& a : task.accesses) {
-    if (!a.is_output()) continue;
-    Region r;
-    r.elem = a.elem;
+    if (outputs ? !a.is_output() : !a.is_input()) continue;
+    store::MemoRegion r;
     // Range-construct: a single copy pass (resize would zero-fill first).
-    const auto* p = static_cast<const std::uint8_t*>(a.ptr);
-    r.data.assign(p, p + a.bytes);
-    snap.regions.push_back(std::move(r));
+    const auto* bytes = static_cast<const std::uint8_t*>(a.ptr);
+    r.data.assign(bytes, bytes + a.bytes);
+    r.raw_bytes = a.bytes;
+    r.elem = static_cast<std::uint8_t>(a.elem);
+    regions.push_back(std::move(r));
   }
-  return snap;
+  return regions;
 }
 
-bool OutputSnapshot::matches_shape(const rt::Task& task) const noexcept {
+}  // namespace
+
+store::MemoEntry capture_outputs(const store::MemoKey& key, const rt::Task& task) {
+  return {key, task.id, capture_regions(task, /*outputs=*/true)};
+}
+
+bool output_shape_matches(const store::MemoEntry& entry, const rt::Task& task) noexcept {
+  // Compares the stored (not decoded) sizes: an Rle region never matches,
+  // so copy_out() only ever reads Raw bytes.
   std::size_t i = 0;
   for (const auto& a : task.accesses) {
     if (!a.is_output()) continue;
-    if (i >= regions.size() || regions[i].data.size() != a.bytes) return false;
+    if (i >= entry.regions.size() || entry.regions[i].data.size() != a.bytes) return false;
     ++i;
   }
-  return i == regions.size();
+  return i == entry.regions.size();
 }
 
-void OutputSnapshot::copy_to(rt::Task& task) const noexcept {
+void copy_out(const store::MemoEntry& entry, rt::Task& task) noexcept {
   std::size_t i = 0;
   for (const auto& a : task.accesses) {
     if (!a.is_output()) continue;
-    std::memcpy(a.ptr, regions[i].data.data(), a.bytes);
+    std::memcpy(a.ptr, entry.regions[i].data.data(), a.bytes);
     ++i;
   }
 }
@@ -56,14 +69,10 @@ bool output_shapes_match(const rt::Task& a, const rt::Task& b) noexcept {
   }
 }
 
-bool TaskHistoryTable::Entry::matches_shape(const rt::Task& task) const noexcept {
-  std::size_t i = 0;
-  for (const auto& a : task.accesses) {
-    if (!a.is_output()) continue;
-    if (i >= outputs.size() || outputs[i].bytes != a.bytes) return false;
-    ++i;
-  }
-  return i == outputs.size();
+std::size_t TaskHistoryTable::Entry::bytes() const noexcept {
+  std::size_t n = memo.payload_bytes() + sizeof(Entry);
+  for (const auto& r : inputs) n += r.data.size();
+  return n;
 }
 
 bool TaskHistoryTable::Entry::inputs_equal(const rt::Task& task) const noexcept {
@@ -71,22 +80,20 @@ bool TaskHistoryTable::Entry::inputs_equal(const rt::Task& task) const noexcept 
   std::size_t i = 0;
   for (const auto& a : task.accesses) {
     if (!a.is_input()) continue;
-    if (i >= inputs.size() || inputs[i].bytes != a.bytes) return false;
-    if (std::memcmp(inputs[i].data, a.ptr, a.bytes) != 0) return false;
+    if (i >= inputs.size() || inputs[i].data.size() != a.bytes) return false;
+    if (std::memcmp(inputs[i].data.data(), a.ptr, a.bytes) != 0) return false;
     ++i;
   }
   return i == inputs.size();
 }
 
 TaskHistoryTable::TaskHistoryTable(unsigned log2_buckets, unsigned bucket_capacity,
-                                   std::size_t arena_reserve, bool verify_full_inputs,
-                                   EvictionPolicy eviction)
+                                   bool verify_full_inputs, EvictionPolicy eviction)
     : buckets_(std::size_t{1} << log2_buckets),
       mask_((HashKey{1} << log2_buckets) - 1),
       capacity_(bucket_capacity != 0 ? bucket_capacity : 1),
       verify_full_inputs_(verify_full_inputs),
-      eviction_(eviction),
-      arena_(std::size_t{4} << 20, arena_reserve) {
+      eviction_(eviction) {
   memory_.store(buckets_.size() * sizeof(Bucket));
 }
 
@@ -99,7 +106,7 @@ std::size_t TaskHistoryTable::find_and_copy_locked(Bucket& b, std::uint32_t type
   for (std::size_t idx = 0; idx < b.entries.size(); ++idx) {
     const Entry& e = b.entries[idx];
     if (!entry_matches(e, type_id, key, p)) continue;
-    if (!e.matches_shape(consumer)) return kNoEntry;
+    if (!output_shape_matches(e.memo, consumer)) return kNoEntry;
     if (verify_full_inputs_ && !e.inputs_equal(consumer)) {
       // Hash false positive caught by the SIII-E full-input check.
       // mo: relaxed — standalone statistic; readers need no ordering.
@@ -107,14 +114,9 @@ std::size_t TaskHistoryTable::find_and_copy_locked(Bucket& b, std::uint32_t type
       return kNoEntry;
     }
     const std::uint64_t t0 = now_ns();
-    std::size_t i = 0;
-    for (const auto& a : consumer.accesses) {
-      if (!a.is_output()) continue;
-      std::memcpy(a.ptr, e.outputs[i].data, a.bytes);
-      ++i;
-    }
+    copy_out(e.memo, consumer);
     const std::uint64_t t1 = now_ns();
-    if (creator != nullptr) *creator = e.creator;
+    if (creator != nullptr) *creator = e.memo.creator;
     if (copy_t0 != nullptr) *copy_t0 = t0;
     if (copy_t1 != nullptr) *copy_t1 = t1;
     return idx;
@@ -163,22 +165,13 @@ bool TaskHistoryTable::lookup_multi_and_copy(std::uint32_t type_id, const HashKe
   return false;
 }
 
-bool TaskHistoryTable::lookup_snapshot(std::uint32_t type_id, HashKey key, double p,
-                                       OutputSnapshot* out, rt::TaskId* creator) const {
+bool TaskHistoryTable::lookup_entry(std::uint32_t type_id, HashKey key, double p,
+                                    store::MemoEntry* out) const {
   const Bucket& b = bucket_for(key);
   SharedSpinReadLock lock(b.mutex);
   for (const Entry& e : b.entries) {
     if (!entry_matches(e, type_id, key, p)) continue;
-    if (out != nullptr) {
-      out->regions.clear();
-      for (const auto& stored : e.outputs) {
-        OutputSnapshot::Region r;
-        r.elem = stored.elem;
-        r.data.assign(stored.data, stored.data + stored.bytes);
-        out->regions.push_back(std::move(r));
-      }
-    }
-    if (creator != nullptr) *creator = e.creator;
+    if (out != nullptr) *out = e.memo;
     return true;
   }
   return false;
@@ -193,151 +186,63 @@ bool TaskHistoryTable::contains(std::uint32_t type_id, HashKey key, double p) co
   return false;
 }
 
-void TaskHistoryTable::release_entry(Entry& entry) {
-  for (auto& r : entry.outputs) arena_.release(r.data, r.bytes);
-  for (auto& r : entry.inputs) arena_.release(r.data, r.bytes);
-  entry.outputs.clear();
-  entry.inputs.clear();
-}
-
-void TaskHistoryTable::evict_front_locked(Bucket& b) {
-  Entry& victim = b.entries.front();
-  memory_.fetch_sub(victim.total_bytes() + sizeof(Entry));
-  if (eviction_sink_) {
-    // Demotion: hand the L2 tier an owned copy of the outputs before the
-    // arena buffers are recycled. Stored inputs (§III-E ablation) are not
-    // demoted — the capacity tier serves approximate steady-state traffic.
-    EvictedEntry evicted;
-    evicted.type_id = victim.type_id;
-    evicted.key = victim.key;
-    evicted.p = victim.p;
-    evicted.creator = victim.creator;
-    evicted.snapshot.regions.reserve(victim.outputs.size());
-    for (const auto& r : victim.outputs) {
-      OutputSnapshot::Region region;
-      region.elem = r.elem;
-      region.data.assign(r.data, r.data + r.bytes);
-      evicted.snapshot.regions.push_back(std::move(region));
-    }
-    eviction_sink_(std::move(evicted));
+void TaskHistoryTable::insert_entry(Entry&& e) {
+  Bucket& b = bucket_for(e.memo.key.hash);
+  // A victim the sink did not take frees its buffers after the unlock.
+  Entry victim;
+  SharedSpinWriteLock lock(b.mutex);
+  for (const Entry& existing : b.entries) {
+    // Raced duplicate: `e` stays with the caller, freed outside the lock.
+    if (existing.memo.key == e.memo.key) return;
   }
-  release_entry(victim);
-  b.entries.pop_front();
-  // mo: relaxed — standalone statistic; readers need no ordering.
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void TaskHistoryTable::insert_entry(Bucket& b, Entry&& e, std::size_t snap_bytes) {
-  {
-    SharedSpinWriteLock lock(b.mutex);
-    bool duplicate = false;
-    for (const Entry& existing : b.entries) {
-      if (entry_matches(existing, e.type_id, e.key, e.p)) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) {
-      if (b.entries.size() >= capacity_) evict_front_locked(b);
-      b.entries.push_back(std::move(e));
-      memory_.fetch_add(snap_bytes + sizeof(Entry));
-      return;
-    }
+  if (b.entries.size() >= capacity_) {
+    victim = std::move(b.entries.front());
+    b.entries.pop_front();
+    memory_.fetch_sub(victim.bytes());
+    // mo: relaxed — standalone statistic; readers need no ordering.
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    // Demotion: hand the L2 tier the outputs themselves. Stored inputs
+    // (§III-E ablation) are not demoted — the capacity tier serves
+    // approximate steady-state traffic.
+    if (eviction_sink_) eviction_sink_(std::move(victim.memo));
   }
-  release_entry(e);  // raced duplicate: recycle our buffers outside the lock
+  memory_.fetch_add(e.bytes());
+  b.entries.push_back(std::move(e));
 }
 
 void TaskHistoryTable::insert(std::uint32_t type_id, HashKey key, double p,
                               const rt::Task& producer) {
   // Deterministic tasks with the same (key, p) produce the same outputs, so
   // a duplicate insert adds nothing: keep the oldest entry (paper FIFO) and
-  // skip the snapshot copy. Cheap shared-lock probe first.
+  // skip the copy. Cheap shared-lock probe first.
   if (contains(type_id, key, p)) return;
 
-  // Snapshot into arena buffers outside the bucket lock: the copy is the
-  // expensive part and must not block readers of the bucket.
-  Entry e;
-  e.key = key;
-  e.p = p;
-  e.type_id = type_id;
-  e.creator = producer.id;
-  std::size_t snap_bytes = 0;
-  for (const auto& a : producer.accesses) {
-    if (!a.is_output()) continue;
-    StoredRegion r;
-    r.bytes = a.bytes;
-    r.elem = a.elem;
-    r.data = arena_.acquire(a.bytes);
-    std::memcpy(r.data, a.ptr, a.bytes);
-    snap_bytes += a.bytes;
-    e.outputs.push_back(r);
-  }
+  // Copy outside the bucket lock: the copy is the expensive part and must
+  // not block readers of the bucket.
+  Entry e{capture_outputs({type_id, key, p}, producer), {}};
   if (verify_full_inputs_ && p >= 1.0) {
     // Exact entries only: for sampled keys, differing inputs are the point.
-    for (const auto& a : producer.accesses) {
-      if (!a.is_input()) continue;
-      StoredRegion r;
-      r.bytes = a.bytes;
-      r.elem = a.elem;
-      r.data = arena_.acquire(a.bytes);
-      std::memcpy(r.data, a.ptr, a.bytes);
-      snap_bytes += a.bytes;
-      e.inputs.push_back(r);
-    }
+    e.inputs = capture_regions(producer, /*outputs=*/false);
   }
-
-  insert_entry(bucket_for(key), std::move(e), snap_bytes);
+  insert_entry(std::move(e));
 }
 
-void TaskHistoryTable::insert_snapshot(std::uint32_t type_id, HashKey key, double p,
-                                       rt::TaskId creator,
-                                       const OutputSnapshot& snapshot) {
-  if (contains(type_id, key, p)) return;
-
-  Entry e;
-  e.key = key;
-  e.p = p;
-  e.type_id = type_id;
-  e.creator = creator;
-  std::size_t snap_bytes = 0;
-  for (const auto& region : snapshot.regions) {
-    StoredRegion r;
-    r.bytes = region.data.size();
-    r.elem = region.elem;
-    r.data = arena_.acquire(r.bytes);
-    std::memcpy(r.data, region.data.data(), r.bytes);
-    snap_bytes += r.bytes;
-    e.outputs.push_back(r);
-  }
-  insert_entry(bucket_for(key), std::move(e), snap_bytes);
+void TaskHistoryTable::insert(store::MemoEntry&& entry) {
+  if (contains(entry.key.type_id, entry.key.hash, entry.key.p)) return;
+  insert_entry(Entry{std::move(entry), {}});
 }
 
 void TaskHistoryTable::for_each_entry(
-    const std::function<void(EvictedEntry&&)>& fn) const {
+    const std::function<void(const store::MemoEntry&)>& fn) const {
   for (const Bucket& b : buckets_) {
     SharedSpinReadLock lock(b.mutex);
-    for (const Entry& e : b.entries) {
-      EvictedEntry out;
-      out.type_id = e.type_id;
-      out.key = e.key;
-      out.p = e.p;
-      out.creator = e.creator;
-      out.snapshot.regions.reserve(e.outputs.size());
-      for (const auto& r : e.outputs) {
-        OutputSnapshot::Region region;
-        region.elem = r.elem;
-        region.data.assign(r.data, r.data + r.bytes);
-        out.snapshot.regions.push_back(std::move(region));
-      }
-      fn(std::move(out));
-    }
+    for (const Entry& e : b.entries) fn(e.memo);
   }
 }
 
 void TaskHistoryTable::clear() {
   for (Bucket& b : buckets_) {
     SharedSpinWriteLock lock(b.mutex);
-    for (Entry& e : b.entries) release_entry(e);
     b.entries.clear();
   }
   memory_.store(buckets_.size() * sizeof(Bucket));

@@ -1,4 +1,4 @@
-// L2 capacity tier: a sharded, byte-budgeted in-memory MemoStore.
+// L2 capacity tier: a sharded, byte-budgeted in-memory store of MemoEntry.
 //
 // The hot tier (THT) is sized for lookup speed (2^N buckets x M entries,
 // paper §IV-B); this tier is sized in *bytes* and catches what the THT
@@ -13,6 +13,7 @@
 // split evenly across shards (no global atomic on the put path).
 #pragma once
 
+#include <functional>
 #include <list>
 #include <unordered_map>
 
@@ -29,21 +30,33 @@ struct L2Config {
   bool compress = false;
 };
 
-class L2CapacityStore final : public MemoStore {
+/// Thread-safe: the THT eviction seam calls put() under a bucket lock while
+/// lookup threads call take() concurrently.
+class L2CapacityStore {
  public:
   explicit L2CapacityStore(L2Config config);
 
-  void put(MemoEntry&& entry) override;
-  bool get(const MemoKey& key, MemoEntry* out) override;
-  bool take(const MemoKey& key, MemoEntry* out) override;
-  void clear() override;
+  /// Insert (or refresh) an entry. The store owns the moved-in payload and
+  /// may encode it; stays within its byte budget by evicting.
+  void put(MemoEntry&& entry);
+  /// Copy the entry out with Raw-decoded regions; false on miss.
+  bool get(const MemoKey& key, MemoEntry* out);
+  /// Remove and return the entry (promotion into the hot tier; avoids
+  /// double residency). Regions are Raw-decoded. False on miss.
+  bool take(const MemoKey& key, MemoEntry* out);
+  void clear();
 
-  [[nodiscard]] std::size_t entry_count() const override;
-  [[nodiscard]] std::size_t payload_bytes() const override;
-  [[nodiscard]] std::size_t memory_bytes() const override;
-  [[nodiscard]] MemoStoreStats stats() const override;
-  void reset_stats() override;
-  void for_each(const std::function<void(const MemoEntry&)>& fn) const override;
+  [[nodiscard]] std::size_t entry_count() const;
+  /// Payload bytes resident as stored (post-compression).
+  [[nodiscard]] std::size_t payload_bytes() const;
+  /// Payload + index/bookkeeping overhead (the Table-III-style number).
+  [[nodiscard]] std::size_t memory_bytes() const;
+  [[nodiscard]] MemoStoreStats stats() const;
+  /// Zero the counters (resident entries are untouched) — keeps per-phase
+  /// measurements honest when the engine's reset_stats() is used.
+  void reset_stats();
+  /// Visit every resident entry as stored (no decode) — serialization.
+  void for_each(const std::function<void(const MemoEntry&)>& fn) const;
 
   [[nodiscard]] const L2Config& config() const noexcept { return config_; }
 

@@ -1,21 +1,22 @@
-// Tiered memo store: the capacity tier behind the Task History Table.
+// The memoized-result type shared by every tier (paper §III-A: "data
+// outputs have to be fully stored in the THT").
 //
-// The paper's THT is a fixed-size in-memory table whose contents die with
-// the process; production services serving heavy repeat traffic need (a) a
-// larger capacity tier catching entries the small hot tier evicts, and
-// (b) persistence so a restart warm-starts from a trained table instead of
-// re-paying the full training + miss cost (cf. AttMEMO's hot/capacity
-// split and Selective Memoization's explicit memo-space budgets).
+// A store::MemoEntry is the one in-memory form of a memoized result: the
+// THT holds it, capacity eviction moves it into the L2 tier, promotion and
+// the --load-store warm start move it back, and snapshot_io serializes it.
+// A tier change hands over the owned region buffers instead of copying
+// them (cf. AttMEMO's hot/capacity split, Selective Memoization's explicit
+// memo-space budgets).
 //
-// This header is the storage-layer contract. It deliberately knows nothing
-// about tasks or the runtime: entries are (type, hash, p) keys mapping to
-// byte regions, so backends can live below atm_core in the layering
-// (atm_common -> atm_store -> atm_core).
+// This header deliberately knows nothing about tasks or the runtime:
+// entries are (type, hash, p) keys mapping to byte regions, so the store
+// lives below atm_core in the layering (atm_common -> atm_store ->
+// atm_core). The task-facing capture, shape check and copy-out live with
+// the THT (src/atm/tht.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace atm::store {
@@ -45,14 +46,15 @@ struct MemoKeyHash {
   }
 };
 
-/// Region payload encodings understood by every backend and the on-disk
+/// Region payload encodings understood by the L2 tier and the on-disk
 /// snapshot format (src/store/snapshot_io.*).
 enum class RegionEncoding : std::uint8_t {
   Raw = 0,  ///< data holds the region bytes verbatim
   Rle = 1,  ///< data holds an rle_codec packbits stream of raw_bytes bytes
 };
 
-/// One stored output region of a memoized task.
+/// One stored byte region of a memoized task (an output; in the THT also a
+/// §III-E stored input).
 struct MemoRegion {
   std::vector<std::uint8_t> data;       ///< payload (possibly encoded)
   std::uint64_t raw_bytes = 0;          ///< decoded size
@@ -80,47 +82,13 @@ struct MemoEntry {
   }
 };
 
-/// Counters every backend reports (fed into AtmStatsSnapshot).
+/// Counters the L2 tier reports (fed into AtmStatsSnapshot).
 struct MemoStoreStats {
   std::uint64_t puts = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;       ///< entries dropped to stay in budget
   std::uint64_t compressed_regions = 0;
-};
-
-/// Abstract capacity-tier store. Implementations must be thread-safe:
-/// the THT eviction seam calls put() under a bucket lock while lookup
-/// threads call take() concurrently.
-class MemoStore {
- public:
-  virtual ~MemoStore() = default;
-
-  /// Insert (or refresh) an entry. The store owns the moved-in payload and
-  /// may encode it; stays within its byte budget by evicting.
-  virtual void put(MemoEntry&& entry) = 0;
-
-  /// Copy the entry out with Raw-decoded regions; false on miss.
-  virtual bool get(const MemoKey& key, MemoEntry* out) = 0;
-
-  /// Remove and return the entry (promotion into the hot tier; avoids
-  /// double residency). Regions are Raw-decoded. False on miss.
-  virtual bool take(const MemoKey& key, MemoEntry* out) = 0;
-
-  virtual void clear() = 0;
-
-  [[nodiscard]] virtual std::size_t entry_count() const = 0;
-  /// Payload bytes resident as stored (post-compression).
-  [[nodiscard]] virtual std::size_t payload_bytes() const = 0;
-  /// Payload + index/bookkeeping overhead (the Table-III-style number).
-  [[nodiscard]] virtual std::size_t memory_bytes() const = 0;
-  [[nodiscard]] virtual MemoStoreStats stats() const = 0;
-  /// Zero the counters (resident entries are untouched) — keeps per-phase
-  /// measurements honest when the engine's reset_stats() is used.
-  virtual void reset_stats() = 0;
-
-  /// Visit every resident entry as stored (no decode) — serialization.
-  virtual void for_each(const std::function<void(const MemoEntry&)>& fn) const = 0;
 };
 
 }  // namespace atm::store

@@ -107,15 +107,16 @@ TEST(TaskOutputTau, ComparesAgainstSnapshot) {
   rt::Task task;
   task.accesses.push_back(rt::out(computed.data(), 3));
 
-  OutputSnapshot snap;
-  OutputSnapshot::Region region;
-  region.elem = rt::ElemType::F32;
+  store::MemoEntry entry;
+  store::MemoRegion region;
+  region.elem = static_cast<std::uint8_t>(rt::ElemType::F32);
   const std::vector<float> stored{1.0f, 2.0f, 4.4f};
   region.data.assign(reinterpret_cast<const std::uint8_t*>(stored.data()),
                      reinterpret_cast<const std::uint8_t*>(stored.data()) + 12);
-  snap.regions.push_back(std::move(region));
+  region.raw_bytes = 12;
+  entry.regions.push_back(std::move(region));
 
-  EXPECT_NEAR(task_output_tau(task, snap), 0.4 / 4.0, 1e-6);
+  EXPECT_NEAR(task_output_tau(task, entry), 0.4 / 4.0, 1e-6);
 }
 
 TEST(Correctness, Mapping) {

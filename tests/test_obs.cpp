@@ -310,8 +310,21 @@ TEST(RuntimeMetrics, HelpingBarrierCountsSessions) {
   rt::Runtime runtime({.num_threads = 2, .help_taskwait = true});
   const auto* type =
       runtime.register_type({.name = "t", .memoizable = false, .atm = {}});
+  // taskwait() helps only while tasks are pending, and the workers may drain
+  // a wave of empty tasks before the master reaches the barrier. Each wave
+  // therefore opens with a gate task that finishes only once the wave's
+  // helping session has started.
+  const Counter* sessions = runtime.metrics().counter("sched.help_sessions", "sessions",
+                                                      "runtime");
+  ASSERT_NE(sessions, nullptr);
+  int gate_cell = 0;
   std::vector<int> cells(128, 0);
-  for (int w = 0; w < 4; ++w) {
+  for (std::uint64_t w = 0; w < 4; ++w) {
+    runtime.submit(type,
+                   [sessions, w] {
+                     while (sessions->value() < w + 1) std::this_thread::yield();
+                   },
+                   {rt::inout(&gate_cell, 1)});
     for (auto& c : cells) {
       runtime.submit(type, [] {}, {rt::inout(&c, 1)});
     }
@@ -319,7 +332,7 @@ TEST(RuntimeMetrics, HelpingBarrierCountsSessions) {
   }
   const RegistrySnapshot snap = runtime.metrics().snapshot();
   ASSERT_NE(snap.find("sched.help_sessions"), nullptr);
-  EXPECT_GE(snap.find("sched.help_sessions")->value, 4.0);
+  EXPECT_EQ(snap.find("sched.help_sessions")->value, 4.0);
 }
 
 TEST(RuntimeMetrics, ProfileTasksRecordsPerTypeHistogram) {

@@ -134,14 +134,14 @@ TEST(Tht, LookupSnapshotCopies) {
   std::vector<float> data{9, 8, 7};
   auto producer = make_producer(data.data(), 3, 42);
   tht.insert(0, 0x9, 0.25, producer);
-  OutputSnapshot snap;
-  rt::TaskId creator = 0;
-  ASSERT_TRUE(tht.lookup_snapshot(0, 0x9, 0.25, &snap, &creator));
-  EXPECT_EQ(creator, 42u);
-  ASSERT_EQ(snap.regions.size(), 1u);
-  EXPECT_EQ(snap.regions[0].data.size(), 12u);
-  EXPECT_EQ(snap.total_bytes(), 12u);
-  const float* f = reinterpret_cast<const float*>(snap.regions[0].data.data());
+  store::MemoEntry stored;
+  ASSERT_TRUE(tht.lookup_entry(0, 0x9, 0.25, &stored));
+  EXPECT_EQ(stored.creator, 42u);
+  EXPECT_EQ(stored.key, (store::MemoKey{0, 0x9, 0.25}));
+  ASSERT_EQ(stored.regions.size(), 1u);
+  EXPECT_EQ(stored.regions[0].data.size(), 12u);
+  EXPECT_EQ(stored.payload_bytes(), 12u);
+  const float* f = reinterpret_cast<const float*>(stored.regions[0].data.data());
   EXPECT_FLOAT_EQ(f[0], 9.0f);
   EXPECT_FLOAT_EQ(f[2], 7.0f);
 }
@@ -203,26 +203,43 @@ TEST(Tht, ConcurrentReadersAndWriters) {
   EXPECT_EQ(wrong.load(), 0);
 }
 
-TEST(OutputSnapshotTest, CaptureMatchCopy) {
+TEST(MemoEntryOutputs, CaptureMatchCopy) {
   std::vector<double> out1{1.5, 2.5};
   std::vector<float> out2{3.5f};
   rt::Task t;
+  t.id = 5;
   t.accesses.push_back(rt::in(out1.data(), 0));  // zero-size input ignored
   t.accesses.push_back(rt::out(out1.data(), 2));
   t.accesses.push_back(rt::out(out2.data(), 1));
-  const auto snap = OutputSnapshot::capture(t);
-  ASSERT_EQ(snap.regions.size(), 2u);
-  EXPECT_TRUE(snap.matches_shape(t));
+  const auto entry = capture_outputs({3, 0x77, 0.5}, t);
+  EXPECT_EQ(entry.key, (store::MemoKey{3, 0x77, 0.5}));
+  EXPECT_EQ(entry.creator, 5u);
+  ASSERT_EQ(entry.regions.size(), 2u);
+  EXPECT_EQ(entry.regions[0].raw_bytes, 2 * sizeof(double));
+  EXPECT_EQ(entry.regions[0].elem, static_cast<std::uint8_t>(rt::ElemType::F64));
+  EXPECT_EQ(entry.regions[1].encoding, store::RegionEncoding::Raw);
+  EXPECT_TRUE(output_shape_matches(entry, t));
 
   std::vector<double> sink1(2);
   std::vector<float> sink2(1);
   rt::Task dst;
   dst.accesses.push_back(rt::out(sink1.data(), 2));
   dst.accesses.push_back(rt::out(sink2.data(), 1));
-  EXPECT_TRUE(snap.matches_shape(dst));
-  snap.copy_to(dst);
+  EXPECT_TRUE(output_shape_matches(entry, dst));
+  copy_out(entry, dst);
   EXPECT_EQ(sink1, out1);
   EXPECT_EQ(sink2, out2);
+
+  // A missing, extra or resized output region does not match.
+  rt::Task fewer;
+  fewer.accesses.push_back(rt::out(sink1.data(), 2));
+  EXPECT_FALSE(output_shape_matches(entry, fewer));
+  rt::Task resized;
+  resized.accesses.push_back(rt::out(sink1.data(), 1));
+  resized.accesses.push_back(rt::out(sink2.data(), 1));
+  EXPECT_FALSE(output_shape_matches(entry, resized));
+  dst.accesses.push_back(rt::out(sink2.data(), 1));
+  EXPECT_FALSE(output_shape_matches(entry, dst));
 }
 
 TEST(OutputShapes, Match) {

@@ -94,9 +94,9 @@ TEST(ThtStress, ConcurrentInsertLookupClear) {
 TEST(ThtStress, ConcurrentChurnWithEvictionSink) {
   TaskHistoryTable tht(2, 2);  // 4 buckets x 2: almost every insert evicts
   std::mutex demoted_mutex;
-  std::vector<EvictedEntry> demoted;
+  std::vector<store::MemoEntry> demoted;
   std::atomic<std::uint64_t> demotions{0};
-  tht.set_eviction_sink([&](EvictedEntry&& e) {
+  tht.set_eviction_sink([&](store::MemoEntry&& e) {
     demotions.fetch_add(1);
     // The sink runs under the bucket lock: keep it short, validate later.
     std::lock_guard<std::mutex> lock(demoted_mutex);
@@ -128,14 +128,14 @@ TEST(ThtStress, ConcurrentChurnWithEvictionSink) {
 
   EXPECT_GT(demotions.load(), 0u);
   EXPECT_EQ(demotions.load(), tht.evictions());
-  // Demoted entries carry intact payloads (captured before arena recycling).
+  // Demoted entries carry intact payloads (moved out of the table whole).
   std::lock_guard<std::mutex> lock(demoted_mutex);
-  for (const EvictedEntry& e : demoted) {
-    ASSERT_EQ(e.snapshot.regions.size(), 1u);
-    ASSERT_EQ(e.snapshot.regions[0].data.size(), kPayloadFloats * sizeof(float));
+  for (const store::MemoEntry& e : demoted) {
+    ASSERT_EQ(e.regions.size(), 1u);
+    ASSERT_EQ(e.regions[0].data.size(), kPayloadFloats * sizeof(float));
     float f0 = 0;
-    std::memcpy(&f0, e.snapshot.regions[0].data.data(), sizeof(f0));
-    EXPECT_FLOAT_EQ(f0, static_cast<float>(e.key));
+    std::memcpy(&f0, e.regions[0].data.data(), sizeof(f0));
+    EXPECT_FLOAT_EQ(f0, static_cast<float>(e.key.hash));
   }
 }
 
@@ -230,7 +230,7 @@ TEST(ThtStress, MultiProbeConcurrentNeighborHits) {
 TEST(ThtStress, LruModeConcurrentChurn) {
   // LRU takes the exclusive-lock path on every hit; make sure the
   // move-to-back dance survives concurrent readers and writers.
-  TaskHistoryTable tht(2, 4, 0, false, EvictionPolicy::Lru);
+  TaskHistoryTable tht(2, 4, false, EvictionPolicy::Lru);
   std::vector<std::vector<float>> payloads(kKeys);
   for (int k = 0; k < kKeys; ++k) {
     payloads[k].assign(kPayloadFloats, static_cast<float>(k));

@@ -6,6 +6,7 @@
 // L2 tier lifts the hit rate over L1-only at equal L1 size.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -33,8 +34,9 @@ rt::Task make_task(float* out, std::size_t n, rt::TaskId id) {
 
 TEST(ThtSeam, EvictionSinkReceivesDemotedEntry) {
   TaskHistoryTable tht(0, 1);  // one bucket, one entry: every insert evicts
-  std::vector<EvictedEntry> demoted;
-  tht.set_eviction_sink([&demoted](EvictedEntry&& e) { demoted.push_back(std::move(e)); });
+  std::vector<store::MemoEntry> demoted;
+  tht.set_eviction_sink(
+      [&demoted](store::MemoEntry&& e) { demoted.push_back(std::move(e)); });
 
   std::vector<float> a{1.0f, 2.0f}, b{3.0f, 4.0f};
   auto first = make_task(a.data(), 2, 10);
@@ -43,12 +45,12 @@ TEST(ThtSeam, EvictionSinkReceivesDemotedEntry) {
   tht.insert(5, 0x2, 0.5, second);
 
   ASSERT_EQ(demoted.size(), 1u);
-  EXPECT_EQ(demoted[0].type_id, 5u);
-  EXPECT_EQ(demoted[0].key, 0x1u);
-  EXPECT_DOUBLE_EQ(demoted[0].p, 0.5);
+  EXPECT_EQ(demoted[0].key.type_id, 5u);
+  EXPECT_EQ(demoted[0].key.hash, 0x1u);
+  EXPECT_DOUBLE_EQ(demoted[0].key.p, 0.5);
   EXPECT_EQ(demoted[0].creator, 10u);
-  ASSERT_EQ(demoted[0].snapshot.regions.size(), 1u);
-  const auto& bytes = demoted[0].snapshot.regions[0].data;
+  ASSERT_EQ(demoted[0].regions.size(), 1u);
+  const auto& bytes = demoted[0].regions[0].data;
   ASSERT_EQ(bytes.size(), 2 * sizeof(float));
   float f0 = 0;
   std::memcpy(&f0, bytes.data(), sizeof(f0));
@@ -58,7 +60,7 @@ TEST(ThtSeam, EvictionSinkReceivesDemotedEntry) {
 TEST(ThtSeam, ClearDoesNotDemote) {
   TaskHistoryTable tht(0, 4);
   int demotions = 0;
-  tht.set_eviction_sink([&demotions](EvictedEntry&&) { ++demotions; });
+  tht.set_eviction_sink([&demotions](store::MemoEntry&&) { ++demotions; });
   std::vector<float> v{1.0f};
   auto task = make_task(v.data(), 1, 1);
   tht.insert(0, 0x1, 1.0, task);
@@ -68,14 +70,15 @@ TEST(ThtSeam, ClearDoesNotDemote) {
 
 TEST(ThtSeam, InsertSnapshotRoundtripsThroughLookup) {
   TaskHistoryTable tht(2, 4);
-  OutputSnapshot snap;
-  OutputSnapshot::Region region;
-  region.elem = rt::ElemType::F32;
+  store::MemoEntry entry{{2, 0xF00, 0.25}, 77, {}};
+  store::MemoRegion region;
+  region.elem = static_cast<std::uint8_t>(rt::ElemType::F32);
   const std::vector<float> payload{7.0f, 8.0f, 9.0f};
   region.data.assign(reinterpret_cast<const std::uint8_t*>(payload.data()),
                      reinterpret_cast<const std::uint8_t*>(payload.data() + 3));
-  snap.regions.push_back(std::move(region));
-  tht.insert_snapshot(2, 0xF00, 0.25, 77, snap);
+  region.raw_bytes = region.data.size();
+  entry.regions.push_back(std::move(region));
+  tht.insert(std::move(entry));
 
   std::vector<float> sink(3, 0.0f);
   auto consumer = make_task(sink.data(), 3, 999);
@@ -93,10 +96,10 @@ TEST(ThtSeam, ForEachEntryExportsLiveContents) {
   tht.insert(0, 0x1, 1.0, t1);
   tht.insert(0, 0x2, 0.5, t2);
   std::size_t seen = 0;
-  tht.for_each_entry([&seen](const EvictedEntry& e) {
+  tht.for_each_entry([&seen](const store::MemoEntry& e) {
     ++seen;
-    EXPECT_EQ(e.snapshot.regions.size(), 1u);
-    EXPECT_EQ(e.snapshot.regions[0].data.size(), sizeof(float));
+    EXPECT_EQ(e.regions.size(), 1u);
+    EXPECT_EQ(e.regions[0].data.size(), sizeof(float));
   });
   EXPECT_EQ(seen, 2u);
 }
@@ -119,7 +122,12 @@ struct SyntheticResult {
 };
 
 SyntheticResult run_scan_workload(AtmEngine* engine, bool compressible = false) {
-  rt::Runtime runtime({.num_threads = 1});
+  // One executor taking tasks in submission order: the central FIFO queue
+  // and a parking barrier. A helping master would pop the newest task while
+  // the worker takes the oldest, so a round could revisit a key still in
+  // the THT and the exact L2 hit counts below would vary from run to run.
+  rt::Runtime runtime(
+      {.num_threads = 1, .sched = rt::SchedPolicy::Central, .help_taskwait = false});
   runtime.attach_memoizer(engine);
   const auto* type = runtime.register_type({.name = "scan", .memoizable = true,
                                             .atm = {}});
@@ -225,6 +233,64 @@ TEST_F(TieredEngineTest, CompressedL2StillServesCorrectHits) {
   // Compressible payloads resident in L2 occupy less than their raw size.
   EXPECT_LT(engine.l2()->payload_bytes(),
             engine.l2()->entry_count() * kOutputWords * sizeof(std::uint64_t));
+}
+
+// An L2 entry whose output shape does not fit the consumer goes back into
+// L2 untouched: the consumer executes, and a later consumer of the stored
+// shape is still an L2 hit with the stored bytes and creator.
+TEST_F(TieredEngineTest, ShapeMismatchPutsL2EntryBack) {
+  AtmConfig config = scan_config(true);
+  config.bucket_capacity = 1;  // one THT slot: each new key demotes the last
+  AtmEngine engine(config);
+  rt::Runtime runtime({.num_threads = 1});
+  runtime.attach_memoizer(&engine);
+  const auto* type =
+      runtime.register_type({.name = "shape", .memoizable = true, .atm = {}});
+
+  std::atomic<int> executions{0};
+  // Outputs depend only on the inputs (one key), never on the output size.
+  const auto run = [&](const std::vector<std::uint64_t>& in,
+                       std::vector<std::uint64_t>& out) {
+    const std::uint64_t* src = in.data();
+    std::uint64_t* dst = out.data();
+    const std::size_t n = out.size();
+    runtime.submit(type,
+                   [&executions, src, dst, n] {
+                     executions.fetch_add(1);
+                     for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] * 2 + 1;
+                   },
+                   {rt::in(src, in.size()), rt::out(dst, n)});
+    runtime.taskwait();
+  };
+
+  const std::vector<std::uint64_t> x(kInputWords, 7), y(kInputWords, 9);
+  std::vector<std::uint64_t> wide(kOutputWords), narrow(kOutputWords / 2);
+  run(x, wide);
+  run(y, wide);  // demotes x's entry
+  ASSERT_EQ(engine.l2()->entry_count(), 1u);
+  store::MemoEntry stored;
+  engine.l2()->for_each([&stored](const store::MemoEntry& e) { stored = e; });
+
+  // Same key, narrower output: the L2 entry does not fit, so the consumer
+  // executes, and its own insert demotes y's entry next to x's.
+  run(x, narrow);
+  EXPECT_EQ(executions.load(), 3);
+  EXPECT_EQ(engine.stats().l2_hits, 0u);
+  EXPECT_EQ(engine.l2()->entry_count(), 2u);
+
+  std::vector<std::uint64_t> sink(kOutputWords, 0);
+  run(x, sink);
+  EXPECT_EQ(executions.load(), 3);
+  const AtmStatsSnapshot stats = engine.stats();
+  EXPECT_EQ(stats.l2_hits, 1u);
+  ASSERT_FALSE(stats.reuse_creators.empty());
+  EXPECT_EQ(stats.reuse_creators.back(), stored.creator);
+  ASSERT_EQ(stored.regions.size(), 1u);
+  ASSERT_EQ(stored.regions[0].data.size(), sink.size() * sizeof(std::uint64_t));
+  EXPECT_EQ(std::memcmp(sink.data(), stored.regions[0].data.data(),
+                        stored.regions[0].data.size()),
+            0);
+  EXPECT_EQ(sink[0], 15u);
 }
 
 // Acceptance (a): save the trained store, reload it, and the warm run does

@@ -343,16 +343,21 @@ void run_one(const App& app, const Options& opts, TablePrinter* table,
   table->add_row(std::move(row));
 
   if (stats_table != nullptr) {
-    // Runtime observability: the two-level dependence-index counters (is
-    // the submit path exact-dominated? are prune scans pathological?) and
-    // the steal scheduler's adaptive-batch state.
+    // Runtime observability, read from the run's registry snapshot: the
+    // two-level dependence-index counters (is the submit path
+    // exact-dominated? are prune scans pathological?) and the steal
+    // scheduler's adaptive-batch state.
+    const auto metric = [&run](const char* name) {
+      const obs::MetricSample* m = run.metrics.find(name);
+      return std::to_string(m != nullptr ? static_cast<std::uint64_t>(m->value) : 0);
+    };
     stats_table->add_row({
         app.name(),
-        std::to_string(run.atm.dep_exact_hits),
-        std::to_string(run.atm.dep_tree_fallbacks),
-        std::to_string(run.atm.prune_scans),
-        std::to_string(run.sched.inbox_batch_cap),
-        std::to_string(run.sched.steal_misses),
+        metric("dep.exact_hits"),
+        metric("dep.tree_fallbacks"),
+        metric("dep.prune_scans"),
+        metric("sched.batch_cap"),
+        metric("sched.steal_misses"),
     });
   }
 

@@ -9,7 +9,7 @@ keeps re-litigating):
                         the same line or within the 4 lines above it.
   R2  hot-path-mutex    No blocking lock (atm::Mutex/CondVar or the raw std
                         types) in hot-path files: the scheduler, the
-                        work-stealing deque, the THT, and the arenas. The
+                        work-stealing deque, the THT, and the task arena. The
                         scheduler's park path is allowlisted — parking is by
                         definition the cold path.
   R3  obs-compile-out   Every hot-path instrument mutator in obs/metrics.hpp
@@ -60,8 +60,6 @@ HOT_PATH_FILES = (
     "src/runtime/task_arena.hpp",
     "src/atm/tht.hpp",
     "src/atm/tht.cpp",
-    "src/common/buffer_arena.hpp",
-    "src/common/buffer_arena.cpp",
 )
 BLOCKING_LOCK_RE = re.compile(
     r"\b(?:MutexLock|CondVar|SharedWriteLock|SharedReadLock)\b"
