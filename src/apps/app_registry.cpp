@@ -24,8 +24,7 @@ rt::RuntimeConfig runtime_config(const RunConfig& config) {
           .help_taskwait = config.help_taskwait,
           .metrics_interval_ms = config.metrics_interval_ms,
           .metrics_live = config.metrics_live,
-          .profile_tasks = config.profile_tasks,
-          .profile_max_types = config.profile_max_types};
+          .profile_tasks = config.profile_tasks};
 }
 
 std::unique_ptr<AtmEngine> make_engine(const RunConfig& config) {
@@ -45,10 +44,7 @@ std::unique_ptr<AtmEngine> make_engine(const RunConfig& config) {
   c.tolerance_probes = config.tolerance_probes;
   c.l2_enabled = config.l2_enabled;
   c.l2_budget_bytes = config.l2_budget_bytes;
-  c.l2_log2_shards = config.l2_log2_shards;
   c.l2_compress = config.l2_compress;
-  c.reuse_log_cap = config.reuse_log_cap;
-  c.profile_max_types = config.profile_max_types;
   auto engine = std::make_unique<AtmEngine>(c);
   if (!config.load_store_path.empty()) {
     std::string error;

@@ -55,7 +55,6 @@ struct RunConfig {
   // --- tiered memo store (src/store/) ---
   bool l2_enabled = false;        ///< byte-budgeted capacity tier behind the THT
   std::size_t l2_budget_bytes = std::size_t{64} << 20;
-  unsigned l2_log2_shards = 4;
   bool l2_compress = false;       ///< RLE-compress demoted snapshots
   /// Warm-start: load this store snapshot before the run (empty = cold).
   std::string load_store_path{};
@@ -71,13 +70,6 @@ struct RunConfig {
   /// Per-task-type execution-latency histograms (task.<name>.exec_ns).
   /// Opt-in: adds two clock reads around every task body.
   bool profile_tasks = false;
-  /// Cap on the engine's per-hit reuse-creator log (AtmConfig::reuse_log_cap).
-  std::size_t reuse_log_cap = std::size_t{1} << 20;
-  /// Cap on distinct task-type ids that get per-type metric profiles
-  /// (task.<name>.exec_ns / atm.type.<name>.*). Sets both
-  /// rt::RuntimeConfig::profile_max_types and AtmConfig::profile_max_types
-  /// (`atm_run --profile-types=N`); types with id >= the cap run unprofiled.
-  std::size_t profile_max_types = 256;
 };
 
 /// Everything a run reports back to the harnesses.

@@ -1,9 +1,18 @@
 // Engine statistics: hit/miss counters, hash/copy timing, and the per-
 // creator reuse log behind Figure 9's cumulative-reuse curves and the
 // paper's "Reuse" metric (§IV-C: percentage of memoized tasks).
+//
+// AtmStats is the engine's one stats store. Each counter is declared once,
+// as a row of kAtmCounterRows: snapshot() and the engine's registry
+// collector both walk the rows. The engine owns the counters instead of
+// registry instruments because they must count in every build (an
+// -DATM_OBS=OFF build compiles obs::Counter::inc out, yet atm_bench fails a
+// run on a nonzero key_gather_oob), survive the runtime they were exported
+// through, and count before the engine attaches (load_store demotes).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,8 +43,7 @@ struct AtmStatsSnapshot {
   std::uint64_t probe_hits = 0;      ///< subset served by a neighbor probe key
 
   // --- L2 capacity tier (zero unless AtmConfig::l2_enabled) ---
-  std::uint64_t l2_hits = 0;        ///< L1 misses served from the L2 store
-  std::uint64_t l2_promotions = 0;  ///< L2 entries reinstated into the THT
+  std::uint64_t l2_hits = 0;        ///< L1 misses served (and promoted) from the L2 store
   std::uint64_t l2_demotions = 0;   ///< THT evictions captured by the L2 store
   std::uint64_t l2_evictions = 0;   ///< entries the L2 dropped to hold its budget
   // Gauges sampled when the snapshot is taken (not monotonic counters).
@@ -45,7 +53,7 @@ struct AtmStatsSnapshot {
 
   /// Reuse events in completion order: the creator task id whose stored
   /// outputs satisfied a consumer (THT hit, IKT hit, or training hit).
-  /// Bounded: at most the configured cap entries; the overflow is counted.
+  /// Bounded: at most kReuseLogCap entries; the overflow is counted.
   std::vector<rt::TaskId> reuse_creators;
   /// Reuse events dropped once the log hit its cap (Figure 9 needs the
   /// curve's head, not an unbounded per-hit record of a long stream).
@@ -56,48 +64,104 @@ struct AtmStatsSnapshot {
   }
 };
 
+/// Every engine counter; indexes AtmStats' atomics and kAtmCounterRows.
+enum class AtmCounter : std::uint8_t {
+  ThtHits,
+  ThtMisses,
+  IktHits,
+  TrainingHits,
+  TrainingFailures,
+  BlacklistSkips,
+  KeysComputed,
+  HashNs,
+  HashBytes,
+  KeyGatherOob,
+  CopyOutNs,
+  UpdateNs,
+  ToleranceHits,
+  ProbeHits,
+  ReuseLogDropped,
+  L2Hits,
+  L2Demotions,
+  L2Evictions,
+};
+inline constexpr std::size_t kAtmCounterCount = 18;
+
+/// A counter's registry export and its AtmStatsSnapshot field.
+struct AtmCounterRow {
+  AtmCounter counter;
+  const char* name;
+  const char* unit;
+  const char* owner;
+  std::uint64_t AtmStatsSnapshot::*field;
+};
+
+inline constexpr AtmCounterRow kAtmCounterRows[kAtmCounterCount] = {
+    {AtmCounter::ThtHits, "atm.tht_hits", "tasks", "engine", &AtmStatsSnapshot::tht_hits},
+    {AtmCounter::ThtMisses, "atm.tht_misses", "tasks", "engine",
+     &AtmStatsSnapshot::tht_misses},
+    {AtmCounter::IktHits, "atm.ikt_hits", "tasks", "engine", &AtmStatsSnapshot::ikt_hits},
+    {AtmCounter::TrainingHits, "atm.training_hits", "tasks", "engine",
+     &AtmStatsSnapshot::training_hits},
+    {AtmCounter::TrainingFailures, "atm.training_failures", "tasks", "engine",
+     &AtmStatsSnapshot::training_failures},
+    {AtmCounter::BlacklistSkips, "atm.blacklist_skips", "tasks", "engine",
+     &AtmStatsSnapshot::blacklist_skips},
+    {AtmCounter::KeysComputed, "atm.keys_computed", "keys", "engine",
+     &AtmStatsSnapshot::keys_computed},
+    {AtmCounter::HashNs, "atm.hash_ns", "ns", "engine", &AtmStatsSnapshot::hash_ns},
+    {AtmCounter::HashBytes, "atm.hash_bytes", "bytes", "engine",
+     &AtmStatsSnapshot::hash_bytes},
+    {AtmCounter::KeyGatherOob, "atm.key_gather_oob", "events", "engine",
+     &AtmStatsSnapshot::key_gather_oob},
+    {AtmCounter::CopyOutNs, "atm.copy_out_ns", "ns", "engine",
+     &AtmStatsSnapshot::copy_out_ns},
+    {AtmCounter::UpdateNs, "atm.update_ns", "ns", "engine", &AtmStatsSnapshot::update_ns},
+    {AtmCounter::ToleranceHits, "atm.tolerance_hits", "tasks", "engine",
+     &AtmStatsSnapshot::tolerance_hits},
+    {AtmCounter::ProbeHits, "atm.probe_hits", "tasks", "engine",
+     &AtmStatsSnapshot::probe_hits},
+    {AtmCounter::ReuseLogDropped, "atm.reuse_log_dropped", "events", "engine",
+     &AtmStatsSnapshot::reuse_log_dropped},
+    {AtmCounter::L2Hits, "atm.l2_hits", "tasks", "l2_store", &AtmStatsSnapshot::l2_hits},
+    {AtmCounter::L2Demotions, "atm.l2_demotions", "entries", "l2_store",
+     &AtmStatsSnapshot::l2_demotions},
+    {AtmCounter::L2Evictions, "atm.l2_evictions", "entries", "l2_store",
+     &AtmStatsSnapshot::l2_evictions},
+};
+
+/// Row i describes counter i: the enum and the table cannot drift apart.
+[[nodiscard]] consteval bool atm_counter_rows_in_enum_order() {
+  for (std::size_t i = 0; i < kAtmCounterCount; ++i) {
+    if (static_cast<std::size_t>(kAtmCounterRows[i].counter) != i) return false;
+  }
+  return true;
+}
+static_assert(atm_counter_rows_in_enum_order());
+
 /// Thread-safe counters used by the engine.
 class AtmStats {
  public:
-  std::atomic<std::uint64_t> tht_hits{0};
-  std::atomic<std::uint64_t> tht_misses{0};
-  std::atomic<std::uint64_t> ikt_hits{0};
-  std::atomic<std::uint64_t> training_hits{0};
-  std::atomic<std::uint64_t> training_failures{0};
-  std::atomic<std::uint64_t> blacklist_skips{0};
-  std::atomic<std::uint64_t> keys_computed{0};
-  std::atomic<std::uint64_t> hash_ns{0};
-  std::atomic<std::uint64_t> hash_bytes{0};
-  std::atomic<std::uint64_t> key_gather_oob{0};
-  std::atomic<std::uint64_t> copy_out_ns{0};
-  std::atomic<std::uint64_t> update_ns{0};
-  std::atomic<std::uint64_t> tolerance_hits{0};
-  std::atomic<std::uint64_t> probe_hits{0};
-  std::atomic<std::uint64_t> l2_hits{0};
-  std::atomic<std::uint64_t> l2_promotions{0};
-  std::atomic<std::uint64_t> l2_demotions{0};
+  /// Cap on the reuse-creator log: every Figure-9-scale run stays intact;
+  /// long streams stop growing (and stop taking the mutex) here.
+  static constexpr std::size_t kReuseLogCap = std::size_t{1} << 20;
 
-  /// Cap on the reuse-creator log. Default keeps every Figure-9-scale run
-  /// intact; long streams stop growing (and stop taking the mutex) here.
-  static constexpr std::size_t kDefaultReuseLogCap = 1u << 20;
-
-  /// Must be called before the run (not thread-safe against log_reuse).
-  void set_reuse_log_cap(std::size_t cap) { reuse_log_cap_ = cap; }
-  [[nodiscard]] std::size_t reuse_log_cap() const noexcept { return reuse_log_cap_; }
+  void add(AtmCounter counter, std::uint64_t n = 1) noexcept {
+    // mo: relaxed — monotonic statistic; snapshot() tolerates races.
+    counters_[static_cast<std::size_t>(counter)].fetch_add(n, std::memory_order_relaxed);
+  }
 
   void log_reuse(rt::TaskId creator) {
     // Fast path once capped: a relaxed size check keeps a long stream of
     // hits off the mutex entirely (the log can no longer change).
     // mo: relaxed — monotonic gate; the locked re-check below is exact.
-    if (reuse_size_.load(std::memory_order_relaxed) >= reuse_log_cap_) {
-      // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-      reuse_log_dropped_.fetch_add(1, std::memory_order_relaxed);
+    if (reuse_size_.load(std::memory_order_relaxed) >= kReuseLogCap) {
+      add(AtmCounter::ReuseLogDropped);
       return;
     }
     MutexLock lock(reuse_mutex_);
-    if (reuse_creators_.size() >= reuse_log_cap_) {
-      // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-      reuse_log_dropped_.fetch_add(1, std::memory_order_relaxed);
+    if (reuse_creators_.size() >= kReuseLogCap) {
+      add(AtmCounter::ReuseLogDropped);
       return;
     }
     reuse_creators_.push_back(creator);
@@ -107,62 +171,17 @@ class AtmStats {
 
   [[nodiscard]] AtmStatsSnapshot snapshot() const {
     AtmStatsSnapshot s;
-    s.tht_hits = tht_hits.load();
-    s.tht_misses = tht_misses.load();
-    s.ikt_hits = ikt_hits.load();
-    s.training_hits = training_hits.load();
-    s.training_failures = training_failures.load();
-    s.blacklist_skips = blacklist_skips.load();
-    s.keys_computed = keys_computed.load();
-    s.hash_ns = hash_ns.load();
-    s.hash_bytes = hash_bytes.load();
-    s.key_gather_oob = key_gather_oob.load();
-    s.copy_out_ns = copy_out_ns.load();
-    s.update_ns = update_ns.load();
-    s.tolerance_hits = tolerance_hits.load();
-    s.probe_hits = probe_hits.load();
-    s.l2_hits = l2_hits.load();
-    s.l2_promotions = l2_promotions.load();
-    s.l2_demotions = l2_demotions.load();
-    s.reuse_log_dropped = reuse_log_dropped_.load();
-    {
-      MutexLock lock(reuse_mutex_);
-      s.reuse_creators = reuse_creators_;
+    for (const AtmCounterRow& row : kAtmCounterRows) {
+      s.*row.field = counters_[static_cast<std::size_t>(row.counter)].load();
     }
+    MutexLock lock(reuse_mutex_);
+    s.reuse_creators = reuse_creators_;
     return s;
   }
 
-  void reset() {
-    tht_hits = 0;
-    tht_misses = 0;
-    ikt_hits = 0;
-    training_hits = 0;
-    training_failures = 0;
-    blacklist_skips = 0;
-    keys_computed = 0;
-    hash_ns = 0;
-    hash_bytes = 0;
-    key_gather_oob = 0;
-    copy_out_ns = 0;
-    update_ns = 0;
-    tolerance_hits = 0;
-    probe_hits = 0;
-    l2_hits = 0;
-    l2_promotions = 0;
-    l2_demotions = 0;
-    // mo: relaxed — reset() runs between measured phases, not concurrently
-    // with writers; no ordering to preserve.
-    reuse_log_dropped_.store(0, std::memory_order_relaxed);
-    MutexLock lock(reuse_mutex_);
-    reuse_creators_.clear();
-    // mo: relaxed — advisory mirror of the locked size for the fast path.
-    reuse_size_.store(0, std::memory_order_relaxed);
-  }
-
  private:
-  std::size_t reuse_log_cap_ = kDefaultReuseLogCap;
+  std::atomic<std::uint64_t> counters_[kAtmCounterCount]{};
   std::atomic<std::size_t> reuse_size_{0};
-  std::atomic<std::uint64_t> reuse_log_dropped_{0};
   mutable Mutex reuse_mutex_;
   std::vector<rt::TaskId> reuse_creators_ ATM_GUARDED_BY(reuse_mutex_);
 };

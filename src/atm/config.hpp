@@ -67,11 +67,6 @@ struct AtmConfig {
   /// THT replacement policy (paper: FIFO).
   EvictionPolicy eviction = EvictionPolicy::Fifo;
 
-  /// Safety valve for Dynamic mode: end training unconditionally after this
-  /// many executed tasks of a type (0 = no cap). The paper trains with at
-  /// most ~5% of the tasks; apps pass explicit L_training instead.
-  std::uint64_t training_task_cap = 0;
-
   // --- tolerance-quantized keys (src/atm/tolerance.hpp, beyond the paper) --
   /// Relative epsilon for key quantization: sampled float/double elements
   /// within ~tolerance_rel of a quantization-cell center share a key cell.
@@ -88,25 +83,11 @@ struct AtmConfig {
   /// Enable the byte-budgeted L2 store behind the THT: capacity evictions
   /// demote into it, steady-state L1 misses probe it and promote on hit.
   bool l2_enabled = false;
-  /// Total L2 payload budget in bytes (split evenly across shards).
+  /// Total L2 payload budget in bytes (split evenly across the
+  /// store::L2Config default of 2^4 shards).
   std::size_t l2_budget_bytes = std::size_t{64} << 20;
-  /// log2 of the L2 shard count (independent locks; 2^4 = 16 shards).
-  unsigned l2_log2_shards = 4;
   /// Compress demoted snapshots (byte-wise RLE with raw fallback).
   bool l2_compress = false;
-
-  // --- observability -------------------------------------------------------
-  /// Cap on the per-hit reuse-creator log (Figure 9's raw data). Past the
-  /// cap, hits count into reuse_log_dropped instead of growing the vector —
-  /// long streams previously grew it one entry per hit under a mutex.
-  std::size_t reuse_log_cap = 1u << 20;
-
-  /// Cap on distinct task-type ids carrying per-type metric profiles
-  /// (atm.type.<name>.*): the profile slot array is sized to this at engine
-  /// construction, and types with id >= the cap run unprofiled (memoization
-  /// itself is unaffected). Mirrors rt::RuntimeConfig::profile_max_types;
-  /// atm_run --profile-types=N sets both.
-  std::size_t profile_max_types = 256;
 };
 
 }  // namespace atm

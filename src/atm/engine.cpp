@@ -25,24 +25,19 @@ std::size_t output_bytes(const rt::Task& task) noexcept {
 
 AtmEngine::AtmEngine(AtmConfig config)
     : config_(config),
-      profile_max_types_(config.profile_max_types),
-      profiles_(std::make_unique<std::atomic<TypeProfile*>[]>(config.profile_max_types)),
       tht_(config.log2_buckets, config.bucket_capacity, config.verify_full_inputs,
            config.eviction),
       ikt_(),
       sampler_(config.type_aware, config.shuffle_seed) {
-  stats_.set_reuse_log_cap(config_.reuse_log_cap);
   if (config_.l2_enabled) {
     l2_ = std::make_unique<store::L2CapacityStore>(store::L2Config{
         .budget_bytes = config_.l2_budget_bytes,
-        .log2_shards = config_.l2_log2_shards,
         .compress = config_.l2_compress,
     });
     // Demotion seam: every THT capacity eviction lands in the L2 tier.
     tht_.set_eviction_sink([this](store::MemoEntry&& evicted) {
-      // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-      stats_.l2_demotions.fetch_add(1, std::memory_order_relaxed);
-      l2_->put(std::move(evicted));
+      stats_.add(AtmCounter::L2Demotions);
+      stats_.add(AtmCounter::L2Evictions, l2_->put(std::move(evicted)));
     });
   }
 }
@@ -73,10 +68,10 @@ void AtmEngine::release_registry() {
   // The profile instruments lived in the departing runtime's registry;
   // drop the cache so a later re-attach recreates them on the new one.
   MutexLock lock(profiles_mutex_);
-  for (std::size_t i = 0; i < profile_max_types_; ++i) {
+  for (std::atomic<TypeProfile*>& slot : profiles_) {
     // mo: release pairs with profile_for()'s acquire load — a reader that
     // sees nullptr simply takes the slow path.
-    profiles_[i].store(nullptr, std::memory_order_release);
+    slot.store(nullptr, std::memory_order_release);
   }
   profile_storage_.clear();
 }
@@ -84,31 +79,15 @@ void AtmEngine::release_registry() {
 void AtmEngine::on_attach(rt::Runtime& runtime) {
   if (metrics_ != nullptr) release_registry();  // re-attach: leave the old registry
   runtime_ = &runtime;
-  // Adopt the runtime's registry: the AtmStats atomics (which remain the
-  // engine's C++ view) export by name through one collector, and per-type
-  // profiles register their instruments on it lazily.
+  // Adopt the runtime's registry: every AtmStats row exports by name
+  // through one collector, and per-type profiles register their
+  // instruments on it lazily.
   metrics_ = &runtime.metrics();
   collector_id_ = metrics_->add_collector([this](obs::SampleSink& sink) {
     const AtmStatsSnapshot s = stats();
-    sink.counter("atm.tht_hits", s.tht_hits, "tasks", "engine");
-    sink.counter("atm.tht_misses", s.tht_misses, "tasks", "engine");
-    sink.counter("atm.ikt_hits", s.ikt_hits, "tasks", "engine");
-    sink.counter("atm.training_hits", s.training_hits, "tasks", "engine");
-    sink.counter("atm.training_failures", s.training_failures, "tasks", "engine");
-    sink.counter("atm.blacklist_skips", s.blacklist_skips, "tasks", "engine");
-    sink.counter("atm.keys_computed", s.keys_computed, "keys", "engine");
-    sink.counter("atm.hash_ns", s.hash_ns, "ns", "engine");
-    sink.counter("atm.hash_bytes", s.hash_bytes, "bytes", "engine");
-    sink.counter("atm.key_gather_oob", s.key_gather_oob, "events", "engine");
-    sink.counter("atm.copy_out_ns", s.copy_out_ns, "ns", "engine");
-    sink.counter("atm.update_ns", s.update_ns, "ns", "engine");
-    sink.counter("atm.tolerance_hits", s.tolerance_hits, "tasks", "engine");
-    sink.counter("atm.probe_hits", s.probe_hits, "tasks", "engine");
-    sink.counter("atm.reuse_log_dropped", s.reuse_log_dropped, "events", "engine");
-    sink.counter("atm.l2_hits", s.l2_hits, "tasks", "l2_store");
-    sink.counter("atm.l2_promotions", s.l2_promotions, "entries", "l2_store");
-    sink.counter("atm.l2_demotions", s.l2_demotions, "entries", "l2_store");
-    sink.counter("atm.l2_evictions", s.l2_evictions, "entries", "l2_store");
+    for (const AtmCounterRow& row : kAtmCounterRows) {
+      sink.counter(row.name, s.*row.field, row.unit, row.owner);
+    }
     sink.gauge("atm.l2_entries", static_cast<std::int64_t>(s.l2_entries),
                "entries", "l2_store");
     sink.gauge("atm.l2_payload_bytes",
@@ -122,7 +101,7 @@ void AtmEngine::on_attach(rt::Runtime& runtime) {
 }
 
 AtmEngine::TypeProfile* AtmEngine::profile_for(const rt::TaskType& type) {
-  if (metrics_ == nullptr || type.id() >= profile_max_types_) return nullptr;
+  if (metrics_ == nullptr || type.id() >= obs::kMaxProfiledTypes) return nullptr;
   // mo: acquire pairs with the publishing release store below so the
   // TypeProfile's instrument pointers are visible through the slot.
   TypeProfile* p = profiles_[type.id()].load(std::memory_order_acquire);
@@ -166,12 +145,11 @@ TrainingController& AtmEngine::controller(const rt::TaskType& type) {
       const auto warm = warm_controllers_.find(type.id());
       if (warm != warm_controllers_.end()) {
         ctl = std::make_unique<TrainingController>(
-            type.atm_params(), warm->second.p, config_.training_task_cap,
+            type.atm_params(), warm->second.p,
             warm->second.steady ? TrainingPhase::Steady : TrainingPhase::Training,
             warm->second.trained_tasks);
       } else {
-        ctl = std::make_unique<TrainingController>(type.atm_params(), kMinP,
-                                                   config_.training_task_cap);
+        ctl = std::make_unique<TrainingController>(type.atm_params(), kMinP);
       }
       break;
     }
@@ -208,8 +186,7 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
   // Chaotic outputs identified during training are never memoized (§III-D);
   // skip the hash as well — the key would go unused.
   if (ctl.is_blacklisted(task)) {
-    // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-    stats_.blacklist_skips.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(AtmCounter::BlacklistSkips);
     return Decision::Execute;
   }
 
@@ -234,14 +211,10 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
   // takes anyway, so profiling adds relaxed increments only.
   TypeProfile* prof = profile_for(type);
   if (prof != nullptr) prof->hash_ns->record(h1 - h0);
-  // mo: relaxed — monotonic statistics; snapshot() tolerates races.
-  stats_.keys_computed.fetch_add(1, std::memory_order_relaxed);
-  stats_.hash_ns.fetch_add(h1 - h0, std::memory_order_relaxed);
-  stats_.hash_bytes.fetch_add(key.bytes_hashed, std::memory_order_relaxed);
-  if (key.oob != 0) {
-    // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-    stats_.key_gather_oob.fetch_add(key.oob, std::memory_order_relaxed);
-  }
+  stats_.add(AtmCounter::KeysComputed);
+  stats_.add(AtmCounter::HashNs, h1 - h0);
+  stats_.add(AtmCounter::HashBytes, key.bytes_hashed);
+  if (key.oob != 0) stats_.add(AtmCounter::KeyGatherOob, key.oob);
 
   task.atm_key = key.key;
   task.atm_p = p;
@@ -251,9 +224,8 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
     rt::TaskId creator = 0;
     std::uint64_t c0 = 0, c1 = 0;
     if (tht_.lookup_and_copy(type.id(), key.key, p, task, &creator, &c0, &c1)) {
-      // mo: relaxed — monotonic statistics; snapshot() tolerates races.
-      stats_.tht_hits.fetch_add(1, std::memory_order_relaxed);
-      if (tol.active()) stats_.tolerance_hits.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(AtmCounter::ThtHits);
+      if (tol.active()) stats_.add(AtmCounter::ToleranceHits);
       return serve_hit(task, lane, prof, creator, c0, c1);
     }
     // Multi-probe: a near-boundary input may have been stored one
@@ -264,14 +236,12 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
     if (key.probe_count != 0 &&
         tht_.lookup_multi_and_copy(type.id(), key.probes.data(), key.probe_count, p,
                                    task, &creator, &c0, &c1, &which)) {
-      // mo: relaxed — monotonic statistics; snapshot() tolerates races.
-      stats_.tht_hits.fetch_add(1, std::memory_order_relaxed);
-      stats_.tolerance_hits.fetch_add(1, std::memory_order_relaxed);
-      stats_.probe_hits.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(AtmCounter::ThtHits);
+      stats_.add(AtmCounter::ToleranceHits);
+      stats_.add(AtmCounter::ProbeHits);
       return serve_hit(task, lane, prof, creator, c0, c1);
     }
-    // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-    stats_.tht_misses.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(AtmCounter::ThtMisses);
     if (prof != nullptr) prof->misses->inc();
 
     if (l2_ != nullptr) {
@@ -286,14 +256,12 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
           c1 = now_ns();
           creator = entry.creator;
           tht_.insert(std::move(entry));
-          // mo: relaxed — monotonic statistics; snapshot() tolerates races.
-          stats_.l2_hits.fetch_add(1, std::memory_order_relaxed);
-          stats_.l2_promotions.fetch_add(1, std::memory_order_relaxed);
+          stats_.add(AtmCounter::L2Hits);
           return serve_hit(task, lane, prof, creator, c0, c1);
         }
         // Shape drifted (same key, different output layout): put the entry
         // back — some other consumer may still match it — and miss.
-        l2_->put(std::move(entry));
+        stats_.add(AtmCounter::L2Evictions, l2_->put(std::move(entry)));
       }
     }
 
@@ -301,8 +269,7 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
       const auto res =
           ikt_.register_or_attach(type.id(), key.key, p, &task, /*allow_attach=*/true);
       if (res == InFlightKeyTable::RegisterResult::AttachedToTwin) {
-        // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-        stats_.ikt_hits.fetch_add(1, std::memory_order_relaxed);
+        stats_.add(AtmCounter::IktHits);
         return Decision::Deferred;
       }
       // Registered => we own the key while executing. TwinBusy cannot
@@ -317,8 +284,7 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
   store::MemoEntry stored;
   if (tht_.lookup_entry(type.id(), key.key, p, &stored) &&
       output_shape_matches(stored, task)) {
-    // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-    stats_.training_hits.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(AtmCounter::TrainingHits);
     MutexLock lock(checks_mutex_);
     pending_checks_.emplace(&task, std::move(stored));
   }
@@ -336,8 +302,7 @@ rt::MemoizationHook::Decision AtmEngine::serve_hit(rt::Task& task, std::size_t l
   if (runtime_ != nullptr) {
     runtime_->tracer().record(lane, rt::TraceState::Memoize, c0, c1);
   }
-  // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-  stats_.copy_out_ns.fetch_add(c1 - c0, std::memory_order_relaxed);
+  stats_.add(AtmCounter::CopyOutNs, c1 - c0);
   stats_.log_reuse(creator);
   if (prof != nullptr) {
     prof->hits->inc();
@@ -368,8 +333,7 @@ void AtmEngine::on_task_executed(rt::Task& task, std::size_t lane) {
   if (had_check) {
     const double tau = task_output_tau(task, check);
     if (tau >= ctl.params().tau_max) {
-      // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-      stats_.training_failures.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(AtmCounter::TrainingFailures);
       ctl.blacklist_outputs(task);
     }
     ctl.report_trained(tau);
@@ -382,8 +346,7 @@ void AtmEngine::on_task_executed(rt::Task& task, std::size_t lane) {
   if (runtime_ != nullptr) {
     runtime_->tracer().record(lane, rt::TraceState::Memoize, u0, u1);
   }
-  // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-  stats_.update_ns.fetch_add(u1 - u0, std::memory_order_relaxed);
+  stats_.add(AtmCounter::UpdateNs, u1 - u0);
   if (TypeProfile* prof = profile_for(type)) prof->update_ns->record(u1 - u0);
 
   // 3. Retire from the IKT and fulfill postponed copies: every consumer
@@ -397,8 +360,7 @@ void AtmEngine::on_task_executed(rt::Task& task, std::size_t lane) {
       if (runtime_ != nullptr) {
         runtime_->tracer().record(lane, rt::TraceState::Memoize, c0, c1);
       }
-      // mo: relaxed — monotonic statistic; snapshot() tolerates races.
-      stats_.copy_out_ns.fetch_add(c1 - c0, std::memory_order_relaxed);
+      stats_.add(AtmCounter::CopyOutNs, c1 - c0);
       stats_.log_reuse(task.id);
       if (runtime_ != nullptr) {
         runtime_->complete_without_execution(*consumer, /*via_ikt=*/true);
@@ -441,7 +403,6 @@ std::size_t AtmEngine::blacklist_size(const rt::TaskType& type) {
 AtmStatsSnapshot AtmEngine::stats() const {
   AtmStatsSnapshot s = stats_.snapshot();
   if (l2_ != nullptr) {
-    s.l2_evictions = l2_->stats().evictions;
     s.l2_entries = l2_->entry_count();
     s.l2_payload_bytes = l2_->payload_bytes();
     s.l2_memory_bytes = l2_->memory_bytes();
@@ -488,7 +449,9 @@ bool AtmEngine::load_store(const std::string& path, std::string* error) {
     tht_.insert(std::move(e));
   }
   if (l2_ != nullptr) {
-    for (store::MemoEntry& e : image->l2) l2_->put(std::move(e));
+    for (store::MemoEntry& e : image->l2) {
+      stats_.add(AtmCounter::L2Evictions, l2_->put(std::move(e)));
+    }
   }
   return true;
 }

@@ -63,12 +63,8 @@ class AtmEngine final : public rt::MemoizationHook {
   // --- observability ---
   [[nodiscard]] const AtmConfig& config() const noexcept { return config_; }
   /// Counter snapshot; when the L2 tier is on, also samples its gauges
-  /// (resident entries/bytes) and eviction count into the L2 fields.
+  /// (resident entries and bytes) into the L2 fields.
   [[nodiscard]] AtmStatsSnapshot stats() const;
-  void reset_stats() {
-    stats_.reset();
-    if (l2_ != nullptr) l2_->reset_stats();
-  }
 
   [[nodiscard]] TaskHistoryTable& tht() noexcept { return tht_; }
   [[nodiscard]] InFlightKeyTable& ikt() noexcept { return ikt_; }
@@ -112,7 +108,7 @@ class AtmEngine final : public rt::MemoizationHook {
   };
 
   /// Lazily created profile for `type`; nullptr before on_attach (no
-  /// registry yet) or past the AtmConfig::profile_max_types cap.
+  /// registry yet) or past the obs::kMaxProfiledTypes cap.
   TypeProfile* profile_for(const rt::TaskType& type);
 
   /// The bookkeeping every hit path shares once `task`'s outputs were
@@ -140,11 +136,10 @@ class AtmEngine final : public rt::MemoizationHook {
   std::size_t collector_id_ = 0;
   bool collector_registered_ = false;
 
-  /// Per-type profile slots, sized to AtmConfig::profile_max_types at
-  /// construction. The hot path reads its slot lock-free; the mutex only
-  /// serializes lazy creation and teardown of the backing storage.
-  std::size_t profile_max_types_;
-  std::unique_ptr<std::atomic<TypeProfile*>[]> profiles_;
+  /// Per-type profile slots, indexed by the dense type id. The hot path
+  /// reads its slot lock-free; the mutex only serializes lazy creation and
+  /// teardown of the backing storage.
+  std::atomic<TypeProfile*> profiles_[obs::kMaxProfiledTypes]{};
   Mutex profiles_mutex_;
   std::vector<std::unique_ptr<TypeProfile>> profile_storage_
       ATM_GUARDED_BY(profiles_mutex_);

@@ -21,11 +21,7 @@ void TrainingController::report_trained(double tau) {
 
 void TrainingController::note_trained_task() {
   MutexLock lock(mutex_);
-  if (phase_ != TrainingPhase::Training) return;
-  ++trained_tasks_;
-  if (task_cap_ != 0 && trained_tasks_ >= task_cap_) {
-    phase_ = TrainingPhase::Steady;
-  }
+  if (phase_ == TrainingPhase::Training) ++trained_tasks_;
 }
 
 void TrainingController::blacklist_outputs(const rt::Task& task) {

@@ -12,44 +12,4 @@ double geomean(const std::vector<double>& values) noexcept {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo),
-      width_((hi - lo) / static_cast<double>(buckets ? buckets : 1)),
-      counts_(buckets ? buckets : 1, 0) {}
-
-void Histogram::add(double x) noexcept {
-  const double idx = (x - lo_) / width_;
-  if (idx < 0.0) {
-    ++underflow_;
-    return;
-  }
-  if (idx >= static_cast<double>(counts_.size())) {
-    ++overflow_;
-    return;
-  }
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Rank of the q-th sample among the in-range population, then linear
-  // interpolation inside the bucket that holds it (samples are assumed
-  // uniform within a bucket).
-  const double rank = q * static_cast<double>(total_ - 1);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const double first = static_cast<double>(seen);
-    seen += counts_[i];
-    if (rank >= static_cast<double>(seen)) continue;
-    const double frac =
-        counts_[i] > 1 ? (rank - first) / static_cast<double>(counts_[i]) : 0.0;
-    return bucket_lo(i) + width_ * frac;
-  }
-  return bucket_lo(counts_.size() - 1) + width_;
-}
-
 }  // namespace atm

@@ -1,11 +1,10 @@
-// Small statistics toolkit used by the benchmark harnesses: running moments,
-// geometric means (the paper reports geomean speedups in Figs. 3 and 6) and
-// fixed-bucket histograms for trace analysis.
+// Small statistics toolkit used by the benchmark harnesses: running moments
+// and geometric means (the paper reports geomean speedups in Figs. 3 and 6).
+// Latency distributions are obs::LatencyHistogram (src/obs/metrics.hpp).
 #pragma once
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -45,45 +44,5 @@ class RunningStat {
 
 /// Geometric mean of a series of strictly positive values.
 [[nodiscard]] double geomean(const std::vector<double>& values) noexcept;
-
-/// Fixed-width histogram over [lo, hi). Out-of-range samples are counted in
-/// explicit underflow/overflow tallies rather than silently clamped into the
-/// edge buckets, so the edge buckets stay honest and the caller can see when
-/// the configured range was too narrow. Used to summarize trace state
-/// durations and latency profiles.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const noexcept { return counts_[i]; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const noexcept {
-    return lo_ + width_ * static_cast<double>(i);
-  }
-  /// In-range samples (excludes underflow/overflow).
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  /// Samples below lo / at-or-above hi, kept out of the buckets.
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  /// Everything ever add()ed, in range or not.
-  [[nodiscard]] std::uint64_t samples() const noexcept {
-    return total_ + underflow_ + overflow_;
-  }
-
-  /// Quantile estimate (q in [0, 1]) over the in-range samples from the
-  /// bucket CDF, linearly interpolated within the covering bucket. Returns
-  /// 0 when no in-range samples exist. p50/p95/p99 come straight from here.
-  [[nodiscard]] double quantile(double q) const noexcept;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-};
 
 }  // namespace atm

@@ -49,6 +49,11 @@ inline constexpr bool kObsEnabled = true;
 /// costs occasional cache-line sharing, never correctness.
 inline constexpr std::size_t kObsShards = 16;
 
+/// Distinct task-type ids that carry per-type profiles (the runtime's
+/// task.<name>.exec_ns, the engine's atm.type.<name>.*). Types with a higher
+/// id run unprofiled; memoization and the aggregate metrics are unaffected.
+inline constexpr std::size_t kMaxProfiledTypes = 256;
+
 /// The calling thread's shard slot: assigned once per thread, round-robin.
 [[nodiscard]] inline std::size_t this_thread_shard() noexcept {
   static std::atomic<std::size_t> next{0};

@@ -28,10 +28,7 @@ Runtime::Runtime(RuntimeConfig config)
       help_taskwait_(config.help_taskwait),
       profile_tasks_(config.profile_tasks),
       tracer_(std::make_unique<TraceRecorder>(num_threads_ + 1, config.enable_tracing)),
-      sched_(Scheduler::make(config.sched, num_threads_, tracer_.get(), &metrics_)),
-      profile_max_types_(config.profile_max_types),
-      exec_hist_(std::make_unique<std::atomic<obs::LatencyHistogram*>[]>(
-          config.profile_max_types)) {
+      sched_(Scheduler::make(config.sched, num_threads_, tracer_.get(), &metrics_)) {
   help_sessions_ = metrics_.counter("sched.help_sessions", "sessions", "runtime");
   help_tasks_ = metrics_.counter("sched.help_tasks", "tasks", "runtime");
   register_collectors();
@@ -119,7 +116,7 @@ const TaskType* Runtime::register_type(TaskTypeDesc desc) {
   const auto id = static_cast<std::uint32_t>(types_.size());
   types_.push_back(std::make_unique<TaskType>(id, std::move(desc)));
   const TaskType* type = types_.back().get();
-  if (profile_tasks_ && id < profile_max_types_) {
+  if (profile_tasks_ && id < obs::kMaxProfiledTypes) {
     // mo: release pairs with process_task's acquire load so a worker seeing
     // the pointer sees a fully-registered histogram.
     exec_hist_[id].store(
@@ -312,7 +309,7 @@ void Runtime::process_task(Task* task, std::size_t lane) {
       // money against microtasks); the histogram pointer is an acquire-load
       // against a concurrent register_type.
       obs::LatencyHistogram* hist = nullptr;
-      if (profile_tasks_ && task->type->id() < profile_max_types_) {
+      if (profile_tasks_ && task->type->id() < obs::kMaxProfiledTypes) {
         // mo: acquire pairs with register_type's release store.
         hist = exec_hist_[task->type->id()].load(std::memory_order_acquire);
       }

@@ -102,11 +102,6 @@ struct RuntimeConfig {
   /// (task.<type>.exec_ns). Opt-in: costs two clock reads per executed
   /// task, which is real money against ~250ns microtasks.
   bool profile_tasks = false;
-  /// Per-type profile slots: dense type ids at or past this cap silently
-  /// skip per-type instruments (both the runtime's exec histograms and an
-  /// attached engine's hit/miss/latency profiles). One atomic pointer per
-  /// slot, sized at construction (`atm_run --profile-types=N`).
-  std::size_t profile_max_types = 256;
 };
 
 /// Monotonic counters; cheap enough to keep always-on.
@@ -255,9 +250,8 @@ class Runtime {
   /// Per-type execution-latency histograms (profile_tasks only), indexed by
   /// the dense type id. Atomic pointers so process_task reads race-free
   /// against concurrent register_type calls; types past the array just skip
-  /// profiling. Sized from RuntimeConfig::profile_max_types at construction.
-  std::size_t profile_max_types_;
-  std::unique_ptr<std::atomic<obs::LatencyHistogram*>[]> exec_hist_;
+  /// profiling.
+  std::atomic<obs::LatencyHistogram*> exec_hist_[obs::kMaxProfiledTypes]{};
 
   /// Helping-barrier span counters (sched.help_sessions / sched.help_tasks).
   obs::Counter* help_sessions_ = nullptr;

@@ -19,76 +19,56 @@ std::size_t L2CapacityStore::entry_cost(const MemoEntry& e) noexcept {
          64 /* index + list node estimate */;
 }
 
-void L2CapacityStore::put(MemoEntry&& entry) {
-  std::uint64_t compressed = 0;
+std::size_t L2CapacityStore::put(MemoEntry&& entry) {
   if (config_.compress) {
-    for (auto& r : entry.regions) {
-      if (encode_region(&r)) ++compressed;
-    }
+    for (auto& r : entry.regions) encode_region(&r);
   }
   const std::size_t cost = entry_cost(entry);
 
   Shard& shard = shard_for(entry.key);
-  std::uint64_t evicted = 0;
-  {
-    MutexLock lock(shard.mutex);
-    auto it = shard.index.find(entry.key);
-    if (it != shard.index.end()) {
-      // Refresh: drop the stale entry, then insert like any new one — the
-      // budget check below applies to the replacement payload too, and a
-      // re-demotion is the newest arrival, so it moves to the FIFO back.
-      shard.cost -= entry_cost(*it->second);
-      shard.entries.erase(it->second);
-      shard.index.erase(it);
-    }
-    // An entry larger than the whole shard budget can never fit; storing
-    // it would immediately evict everything including itself. Counted as
-    // one eviction below (outside the shard lock — never nest stats under
-    // a shard).
-    if (cost > shard_budget_) {
-      evicted = 1;
-    } else {
-      while (!shard.entries.empty() && shard.cost + cost > shard_budget_) {
-        MemoEntry& victim = shard.entries.front();
-        shard.cost -= entry_cost(victim);
-        shard.index.erase(victim.key);
-        shard.entries.pop_front();
-        ++evicted;
-      }
-      shard.cost += cost;
-      shard.entries.push_back(std::move(entry));
-      shard.index.emplace(shard.entries.back().key, std::prev(shard.entries.end()));
-    }
+  MutexLock lock(shard.mutex);
+  auto it = shard.index.find(entry.key);
+  if (it != shard.index.end()) {
+    // Refresh: drop the stale entry, then insert like any new one — the
+    // budget check below applies to the replacement payload too, and a
+    // re-demotion is the newest arrival, so it moves to the FIFO back.
+    shard.cost -= entry_cost(*it->second);
+    shard.entries.erase(it->second);
+    shard.index.erase(it);
   }
-  MutexLock lock(stats_mutex_);
-  ++stats_.puts;
-  stats_.evictions += evicted;
-  stats_.compressed_regions += compressed;
+  // An entry larger than the whole shard budget can never fit; storing it
+  // would immediately evict everything including itself. It counts as one
+  // eviction.
+  if (cost > shard_budget_) return 1;
+  std::size_t evicted = 0;
+  while (!shard.entries.empty() && shard.cost + cost > shard_budget_) {
+    MemoEntry& victim = shard.entries.front();
+    shard.cost -= entry_cost(victim);
+    shard.index.erase(victim.key);
+    shard.entries.pop_front();
+    ++evicted;
+  }
+  shard.cost += cost;
+  shard.entries.push_back(std::move(entry));
+  shard.index.emplace(shard.entries.back().key, std::prev(shard.entries.end()));
+  return evicted;
 }
 
 bool L2CapacityStore::extract(const MemoKey& key, MemoEntry* out, bool erase) {
   Shard& shard = shard_for(key);
-  bool found = false;
   {
     MutexLock lock(shard.mutex);
     auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      found = true;
-      if (erase) {
-        shard.cost -= entry_cost(*it->second);
-        *out = std::move(*it->second);
-        shard.entries.erase(it->second);
-        shard.index.erase(it);
-      } else {
-        *out = *it->second;
-      }
+    if (it == shard.index.end()) return false;
+    if (erase) {
+      shard.cost -= entry_cost(*it->second);
+      *out = std::move(*it->second);
+      shard.entries.erase(it->second);
+      shard.index.erase(it);
+    } else {
+      *out = *it->second;
     }
   }
-  {
-    MutexLock lock(stats_mutex_);
-    found ? ++stats_.hits : ++stats_.misses;
-  }
-  if (!found) return false;
   for (auto& r : out->regions) {
     if (!decode_region(&r)) return false;  // corrupt payload: treat as miss
   }
@@ -137,16 +117,6 @@ std::size_t L2CapacityStore::memory_bytes() const {
     n += shard.cost;
   }
   return n;
-}
-
-MemoStoreStats L2CapacityStore::stats() const {
-  MutexLock lock(stats_mutex_);
-  return stats_;
-}
-
-void L2CapacityStore::reset_stats() {
-  MutexLock lock(stats_mutex_);
-  stats_ = MemoStoreStats{};
 }
 
 void L2CapacityStore::for_each(const std::function<void(const MemoEntry&)>& fn) const {

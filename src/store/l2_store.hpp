@@ -10,7 +10,9 @@
 // Sharding: the key hash picks one of 2^S independent shards, each its own
 // mutex + FIFO list + index, so demotions from different THT buckets and
 // concurrent promotions do not serialize on one lock. The byte budget is
-// split evenly across shards (no global atomic on the put path).
+// split evenly across shards (no global atomic on the put path). The store
+// keeps no counters: put() reports what it evicted, and the engine counts
+// it in its own stats (AtmCounter::L2Evictions).
 #pragma once
 
 #include <functional>
@@ -37,8 +39,9 @@ class L2CapacityStore {
   explicit L2CapacityStore(L2Config config);
 
   /// Insert (or refresh) an entry. The store owns the moved-in payload and
-  /// may encode it; stays within its byte budget by evicting.
-  void put(MemoEntry&& entry);
+  /// may encode it; stays within its byte budget by evicting. Returns the
+  /// entries evicted, counting an entry too large for any shard as one.
+  std::size_t put(MemoEntry&& entry);
   /// Copy the entry out with Raw-decoded regions; false on miss.
   bool get(const MemoKey& key, MemoEntry* out);
   /// Remove and return the entry (promotion into the hot tier; avoids
@@ -51,10 +54,6 @@ class L2CapacityStore {
   [[nodiscard]] std::size_t payload_bytes() const;
   /// Payload + index/bookkeeping overhead (the Table-III-style number).
   [[nodiscard]] std::size_t memory_bytes() const;
-  [[nodiscard]] MemoStoreStats stats() const;
-  /// Zero the counters (resident entries are untouched) — keeps per-phase
-  /// measurements honest when the engine's reset_stats() is used.
-  void reset_stats();
   /// Visit every resident entry as stored (no decode) — serialization.
   void for_each(const std::function<void(const MemoEntry&)>& fn) const;
 
@@ -84,9 +83,6 @@ class L2CapacityStore {
   std::vector<Shard> shards_;
   std::size_t shard_mask_;
   std::size_t shard_budget_;
-
-  mutable Mutex stats_mutex_;
-  MemoStoreStats stats_ ATM_GUARDED_BY(stats_mutex_);
 };
 
 }  // namespace atm::store

@@ -82,13 +82,4 @@ struct MemoEntry {
   }
 };
 
-/// Counters the L2 tier reports (fed into AtmStatsSnapshot).
-struct MemoStoreStats {
-  std::uint64_t puts = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;       ///< entries dropped to stay in budget
-  std::uint64_t compressed_regions = 0;
-};
-
 }  // namespace atm::store

@@ -400,20 +400,5 @@ TEST(EngineTolerance, PerTypeOverrideEnablesToleranceKeys) {
   EXPECT_EQ(engine.stats().tolerance_hits, 1u);
 }
 
-TEST(Engine, StatsResetClearsCounters) {
-  AtmEngine engine({.mode = AtmMode::Static});
-  Runtime runtime({.num_threads = 1});
-  runtime.attach_memoizer(&engine);
-  const auto* type = runtime.register_type(
-      {.name = "t", .memoizable = true, .atm = {}});
-  double in = 1, out = 0;
-  runtime.submit(type, [&] { out = in; }, {rt::in(&in, 1), rt::out(&out, 1)});
-  runtime.taskwait();
-  EXPECT_GT(engine.stats().keys_computed, 0u);
-  engine.reset_stats();
-  EXPECT_EQ(engine.stats().keys_computed, 0u);
-  EXPECT_TRUE(engine.stats().reuse_creators.empty());
-}
-
 }  // namespace
 }  // namespace atm

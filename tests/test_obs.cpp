@@ -351,12 +351,20 @@ TEST(RuntimeMetrics, ProfileTasksRecordsPerTypeHistogram) {
   EXPECT_EQ(hist->hist.count, 16u);
 }
 
+/// Register `n` task types that never run, so the next type gets id `n`.
+void register_filler_types(rt::Runtime& runtime, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    runtime.register_type(
+        {.name = "filler" + std::to_string(i), .memoizable = false, .atm = {}});
+  }
+}
+
 TEST(RuntimeMetrics, ProfileTypeCapSkipsHighTypeIds) {
-  // profile_max_types sizes the per-type histogram slot array: the first
-  // registered type (id 0) profiles, the second (id 1 >= cap) runs
-  // unprofiled but otherwise executes normally.
-  rt::Runtime runtime(
-      {.num_threads = 1, .profile_tasks = true, .profile_max_types = 1});
+  // kMaxProfiledTypes sizes the per-type histogram slot array: behind the
+  // fillers, "a" (the last id under the cap) profiles, and "b" (id ==
+  // cap) runs unprofiled but otherwise executes normally.
+  rt::Runtime runtime({.num_threads = 1, .profile_tasks = true});
+  register_filler_types(runtime, kMaxProfiledTypes - 1);
   const auto* a =
       runtime.register_type({.name = "a", .memoizable = false, .atm = {}});
   const auto* b =
@@ -434,16 +442,20 @@ TEST(EngineMetrics, ExportsAtmCountersAndTypeProfiles) {
   EXPECT_EQ(copy->hist.count, 1u);
 }
 
+/// One-entry THT with the L2 tier behind it, and tolerance keys with
+/// neighbor probes: the three ways a task is served without executing.
+AtmConfig serve_paths_config() {
+  return {.mode = AtmMode::Static,
+          .log2_buckets = 0,
+          .bucket_capacity = 1,
+          .use_ikt = false,
+          .tolerance_abs = 0.5,
+          .tolerance_probes = 2,
+          .l2_enabled = true};
+}
+
 TEST(EngineMetrics, EveryServePathFeedsTypeProfile) {
-  // One-entry THT with the L2 tier behind it, and tolerance keys with
-  // neighbor probes: the three ways a task is served without executing.
-  AtmEngine engine({.mode = AtmMode::Static,
-                    .log2_buckets = 0,
-                    .bucket_capacity = 1,
-                    .use_ikt = false,
-                    .tolerance_abs = 0.5,
-                    .tolerance_probes = 2,
-                    .l2_enabled = true});
+  AtmEngine engine(serve_paths_config());
   rt::Runtime runtime({.num_threads = 1});
   runtime.attach_memoizer(&engine);
   const auto* type =
@@ -492,16 +504,47 @@ TEST(EngineMetrics, EveryServePathFeedsTypeProfile) {
   before = profile();
   run(7.45);  // THT miss, L2 hit: promoted back and served
   expect_one_serve(before);
-  EXPECT_EQ(engine.stats().l2_promotions, 1u);
+  EXPECT_EQ(engine.stats().l2_hits, 1u);
   EXPECT_DOUBLE_EQ(out, 7.45);
 }
 
-TEST(EngineMetrics, ProfileTypeCapSkipsEngineProfiles) {
-  // AtmConfig::profile_max_types = 0: no per-type profile slots exist, so
-  // atm.type.* instruments never register — memoization itself still works.
-  AtmEngine engine({.mode = AtmMode::Static, .profile_max_types = 0});
+TEST(EngineMetrics, EveryCounterRowExportsItsSnapshotField) {
+  // The serve-path workload above, so the THT, probe and L2 hit rows all
+  // hold nonzero counts when the registry and the snapshot are compared.
+  AtmEngine engine(serve_paths_config());
   rt::Runtime runtime({.num_threads = 1});
   runtime.attach_memoizer(&engine);
+  const auto* type =
+      runtime.register_type({.name = "serve", .memoizable = true, .atm = {}});
+  double out = 0.0;
+  // Miss, THT hit, probe hit, a miss that demotes 7.45's entry, L2 hit.
+  for (double in : {7.45, 7.45, 7.55, 20.0, 7.45}) {
+    runtime.submit(type, [&out, in] { out = in; }, {rt::in(&in, 1), rt::out(&out, 1)});
+    runtime.taskwait();
+  }
+
+  const AtmStatsSnapshot stats = engine.stats();
+  EXPECT_EQ(stats.tht_hits, 2u);
+  EXPECT_EQ(stats.probe_hits, 1u);
+  EXPECT_EQ(stats.l2_hits, 1u);
+  const RegistrySnapshot snap = runtime.metrics().snapshot();
+  for (const AtmCounterRow& row : kAtmCounterRows) {
+    const MetricSample* m = snap.find(row.name);
+    ASSERT_NE(m, nullptr) << row.name;
+    EXPECT_EQ(m->kind, MetricKind::Counter) << row.name;
+    EXPECT_EQ(m->unit, row.unit) << row.name;
+    EXPECT_EQ(m->owner, row.owner) << row.name;
+    EXPECT_DOUBLE_EQ(m->value, static_cast<double>(stats.*row.field)) << row.name;
+  }
+}
+
+TEST(EngineMetrics, ProfileTypeCapSkipsEngineProfiles) {
+  // Fillers hold every profile slot, so "square" (id == kMaxProfiledTypes)
+  // never registers atm.type.* instruments — memoization itself still works.
+  AtmEngine engine({.mode = AtmMode::Static});
+  rt::Runtime runtime({.num_threads = 1});
+  runtime.attach_memoizer(&engine);
+  register_filler_types(runtime, kMaxProfiledTypes);
   const auto* type =
       runtime.register_type({.name = "square", .memoizable = true, .atm = {}});
   std::vector<double> input{1.0, 2.0, 3.0};
@@ -580,47 +623,18 @@ TEST(EngineMetrics, RuntimeDiesBeforeEngineIsSafe) {
   EXPECT_EQ(engine.stats().tht_hits, 3u);
 }
 
-// --- reuse-log cap (AtmStats satellite) -------------------------------------
+// --- reuse-log cap -----------------------------------------------------------
 
 TEST(AtmStatsReuseLog, CapBoundsGrowthAndCountsDrops) {
   AtmStats stats;
-  stats.set_reuse_log_cap(4);
-  for (rt::TaskId id = 0; id < 10; ++id) stats.log_reuse(id);
+  constexpr rt::TaskId kCap = AtmStats::kReuseLogCap;
+  for (rt::TaskId id = 0; id < kCap + 6; ++id) stats.log_reuse(id);
   const AtmStatsSnapshot snap = stats.snapshot();
-  EXPECT_EQ(snap.reuse_creators.size(), 4u);
+  EXPECT_EQ(snap.reuse_creators.size(), kCap);
   EXPECT_EQ(snap.reuse_log_dropped, 6u);
   // The head of the stream is what survives (Figure 9 reads the curve head).
   EXPECT_EQ(snap.reuse_creators[0], 0u);
-  EXPECT_EQ(snap.reuse_creators[3], 3u);
-}
-
-TEST(AtmStatsReuseLog, ResetClearsCapState) {
-  AtmStats stats;
-  stats.set_reuse_log_cap(2);
-  for (rt::TaskId id = 0; id < 5; ++id) stats.log_reuse(id);
-  stats.reset();
-  EXPECT_EQ(stats.snapshot().reuse_log_dropped, 0u);
-  EXPECT_TRUE(stats.snapshot().reuse_creators.empty());
-  stats.log_reuse(7);
-  EXPECT_EQ(stats.snapshot().reuse_creators.size(), 1u);
-}
-
-TEST(AtmStatsReuseLog, EngineConfigPlumbsCap) {
-  AtmEngine engine({.mode = AtmMode::Static, .reuse_log_cap = 1});
-  rt::Runtime runtime({.num_threads = 1});
-  runtime.attach_memoizer(&engine);
-  const auto* type =
-      runtime.register_type({.name = "t", .memoizable = true, .atm = {}});
-  double in = 1.0;
-  std::vector<double> outs(4, 0.0);
-  for (auto& o : outs) {
-    runtime.submit(type, [&in, &o] { o = in; }, {rt::in(&in, 1), rt::out(&o, 1)});
-    runtime.taskwait();
-  }
-  const AtmStatsSnapshot snap = engine.stats();
-  EXPECT_EQ(snap.tht_hits, 3u);
-  EXPECT_EQ(snap.reuse_creators.size(), 1u);
-  EXPECT_EQ(snap.reuse_log_dropped, 2u);
+  EXPECT_EQ(snap.reuse_creators[kCap - 1], kCap - 1);
 }
 
 }  // namespace

@@ -35,65 +35,6 @@ TEST(Geomean, KnownValues) {
   EXPECT_EQ(geomean({1.0, -1.0}), 0.0);  // undefined -> signalled as 0
 }
 
-TEST(Histogram, BucketsAndOverflowCounts) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(9.99);
-  h.add(-3.0);   // below lo: counted as underflow, not bucket 0
-  h.add(100.0);  // at/above hi: counted as overflow, not bucket 9
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.samples(), 5u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(5), 1u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(5), 5.0);
-}
-
-TEST(Histogram, BoundaryValuesRouteExactly) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.0);   // lo is inclusive
-  h.add(10.0);  // hi is exclusive -> overflow
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.underflow(), 0u);
-}
-
-TEST(Histogram, QuantileUniform) {
-  // 100 samples at bucket centers 0.5, 1.5, ..., 99.5: quantiles should land
-  // within one bucket width of the exact order statistics.
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 49.5, 1.0);
-  EXPECT_NEAR(h.quantile(0.95), 94.5, 1.0);
-  EXPECT_NEAR(h.quantile(0.99), 98.5, 1.0);
-  EXPECT_NEAR(h.quantile(0.0), 0.5, 1.0);
-  EXPECT_NEAR(h.quantile(1.0), 99.5, 1.0);
-}
-
-TEST(Histogram, QuantileSingleBucketAndEmpty) {
-  Histogram h(0.0, 10.0, 10);
-  EXPECT_EQ(h.quantile(0.5), 0.0);  // no samples
-  for (int i = 0; i < 7; ++i) h.add(3.5);
-  // All mass in bucket [3, 4): every quantile lands inside that bucket.
-  EXPECT_GE(h.quantile(0.5), 3.0);
-  EXPECT_LE(h.quantile(0.5), 4.0);
-  EXPECT_GE(h.quantile(0.99), 3.0);
-  EXPECT_LE(h.quantile(0.99), 4.0);
-}
-
-TEST(Histogram, QuantileIgnoresOutOfRange) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(5.5);
-  h.add(-100.0);
-  h.add(1e9);
-  // The out-of-range tallies must not shift the in-range CDF.
-  EXPECT_GE(h.quantile(0.5), 5.0);
-  EXPECT_LE(h.quantile(0.5), 6.0);
-}
-
 TEST(TablePrinter, AlignsAndContainsCells) {
   TablePrinter t({"Benchmark", "Speedup"});
   t.add_row({"Blackscholes", "5.03x"});

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "atm/tht.hpp"
+#include "store/l2_store.hpp"
 
 namespace atm {
 namespace {
@@ -137,6 +138,49 @@ TEST(ThtStress, ConcurrentChurnWithEvictionSink) {
     std::memcpy(&f0, e.regions[0].data.data(), sizeof(f0));
     EXPECT_FLOAT_EQ(f0, static_cast<float>(e.key.hash));
   }
+}
+
+TEST(ThtStress, DemotionsIntoL2BalanceWithConcurrentTakes) {
+  // The engine's L2 accounting under concurrency: four threads insert
+  // distinct keys into a tiny THT whose sink demotes into a small L2 store,
+  // and take() each other's recent keys back out at the same time. Every
+  // demoted entry ends up resident, taken, or counted by a put() return.
+  TaskHistoryTable tht(0, 2);  // one bucket x 2 entries: nearly every insert demotes
+  store::L2CapacityStore l2({.budget_bytes = 16 * 1024});  // 16 shards, ~2 entries each
+  std::atomic<std::uint64_t> demotions{0};
+  std::atomic<std::uint64_t> evicted{0};
+  tht.set_eviction_sink([&](store::MemoEntry&& e) {
+    demotions.fetch_add(1);
+    evicted.fetch_add(l2.put(std::move(e)));
+  });
+
+  constexpr int kThreads = 4, kIters = 400;
+  std::atomic<std::uint64_t> taken{0};
+  std::atomic<int> wrong_entries{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<float> out(kPayloadFloats, static_cast<float>(t));
+      for (int i = 0; i < kIters; ++i) {
+        const auto key = static_cast<HashKey>(t * kIters + i);
+        auto producer = make_task(out.data(), kPayloadFloats, key);
+        tht.insert(0, key, 1.0, producer);
+        if (i < 4) continue;
+        // A key the next thread inserted a few rounds ago.
+        const auto other = static_cast<HashKey>(((t + 1) % kThreads) * kIters + i - 4);
+        store::MemoEntry entry;
+        if (l2.take({0, other, 1.0}, &entry)) {
+          taken.fetch_add(1);
+          if (entry.creator != other) wrong_entries.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(wrong_entries.load(), 0);
+  EXPECT_GT(evicted.load(), 0u);
+  EXPECT_EQ(demotions.load(), l2.entry_count() + taken.load() + evicted.load());
 }
 
 TEST(ThtStress, MultiProbeConcurrentNeighborHits) {

@@ -126,15 +126,6 @@ TEST(Training, BlacklistIgnoresInputs) {
   EXPECT_FALSE(ctl.is_blacklisted(reader));
 }
 
-TEST(Training, TaskCapEndsTraining) {
-  TrainingController ctl(params(1000, 0.01), kMinP, /*task_cap=*/10);
-  for (int i = 0; i < 9; ++i) ctl.note_trained_task();
-  EXPECT_EQ(ctl.phase(), TrainingPhase::Training);
-  ctl.note_trained_task();
-  EXPECT_EQ(ctl.phase(), TrainingPhase::Steady);
-  EXPECT_EQ(ctl.trained_tasks(), 10u);
-}
-
 TEST(Training, MemoryAccountingNonZero) {
   TrainingController ctl(params(15, 0.01));
   EXPECT_GT(ctl.memory_bytes(), 0u);

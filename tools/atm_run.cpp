@@ -19,7 +19,6 @@
 //   --n=K  --m=K           THT sizing: 2^n buckets, m entries per bucket
 //   --l2                   enable the L2 capacity tier behind the THT
 //   --l2-budget-mb=K       L2 byte budget in MiB            (default: 64)
-//   --l2-shards=K          2^K L2 shards                    (default: 4)
 //   --l2-compress          RLE-compress demoted snapshots
 //   --save-store=PATH      persist THT + L2 + p-controllers after the run
 //   --load-store=PATH      warm-start from a saved store (zero training);
@@ -52,9 +51,6 @@
 //   --profile              per-task-type execution-latency histograms
 //                          (task.<type>.exec_ns; two extra clock reads
 //                          per task)
-//   --profile-types=N      cap on distinct task-type ids carrying per-type
-//                          profiles; types with id >= N run unprofiled
-//                          (default: 256)
 //   --baseline             also run mode=off and report speedup/correctness
 #include <cstdio>
 #include <cstring>
@@ -155,12 +151,12 @@ int usage(const char* argv0) {
                "          [--threads=N] [--sched=steal|central] [--taskwait=help|park]\n"
                "          [--preset=test|bench|paper] [--no-ikt] [--no-type-aware]\n"
                "          [--verify-full-inputs] [--lru]\n"
-               "          [--n=K] [--m=K] [--l2] [--l2-budget-mb=K] [--l2-shards=K]\n"
-               "          [--l2-compress] [--save-store=PATH] [--load-store=PATH]\n"
+               "          [--n=K] [--m=K] [--l2] [--l2-budget-mb=K] [--l2-compress]\n"
+               "          [--save-store=PATH] [--load-store=PATH]\n"
                "          [--tolerance[=F]] [--tolerance-abs=F] [--probes=K] [--noise=F]\n"
                "          [--trace] [--trace-json=FILE] [--stats] [--stats-json=FILE]\n"
                "          [--metrics-json=FILE] [--metrics-csv=FILE]\n"
-               "          [--stats-interval=MS] [--profile] [--profile-types=N]\n"
+               "          [--stats-interval=MS] [--profile]\n"
                "          [--baseline]\n",
                argv0);
   return 2;
@@ -211,10 +207,6 @@ bool parse(int argc, char** argv, Options* opts) {
       opts->config.l2_enabled = true;
       opts->config.l2_budget_bytes =
           static_cast<std::size_t>(std::strtoull(value, nullptr, 10)) << 20;
-    } else if (parse_flag(arg, "--l2-shards", &value)) {
-      opts->config.l2_enabled = true;
-      opts->config.l2_log2_shards =
-          static_cast<unsigned>(std::strtoul(value, nullptr, 10));
     } else if (parse_flag(arg, "--l2-compress", &value)) {
       opts->config.l2_enabled = true;
       opts->config.l2_compress = true;
@@ -257,9 +249,6 @@ bool parse(int argc, char** argv, Options* opts) {
       opts->metrics_json = value;
     } else if (parse_flag(arg, "--metrics-csv", &value)) {
       opts->metrics_csv = value;
-    } else if (parse_flag(arg, "--profile-types", &value)) {
-      opts->config.profile_max_types =
-          static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
     } else if (parse_flag(arg, "--profile", &value)) {
       opts->config.profile_tasks = true;
     } else if (parse_flag(arg, "--stats", &value)) {
