@@ -164,6 +164,38 @@ void BM_ComputeKey_Planned(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeKey_Planned)->Arg(50)->Arg(100)->Arg(300);
 
+// --- compute_key in tolerance mode: the quantization stage ------------------
+// The Jacobi task shape (a 96x96 block plus four 96-float halos) at the apps'
+// relative epsilon 1e-3 with 4 neighbor probes, as noisy-tiered keys it.
+// range(0) is 1/p; items are the quantized elements.
+
+void BM_ComputeKey_Tolerance(benchmark::State& state) {
+  auto block = random_block(7);
+  std::vector<std::vector<float>> halos(4, std::vector<float>(kBlockDim));
+  Rng rng(8);
+  for (auto& halo : halos) {
+    for (auto& v : halo) v = rng.next_float(0.0f, 4.0f);
+  }
+  rt::Task task;
+  task.accesses.push_back(rt::in(block.data(), block.size()));
+  for (const auto& halo : halos) {
+    task.accesses.push_back(rt::in(halo.data(), halo.size()));
+  }
+  InputSampler sampler(true, 3);
+  const double p = 1.0 / static_cast<double>(state.range(0));
+  const GatherPlan& plan = sampler.plan_for(0, InputLayout::from_task(task), p);
+  const ToleranceSpec spec{.rel = 1e-3, .probes = 4};
+  std::size_t elements = 0;
+  for (auto _ : state) {
+    const KeyResult r = compute_key(task, plan, 4, spec);
+    benchmark::DoNotOptimize(r);
+    elements = r.bytes_hashed / sizeof(float);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(elements));
+}
+BENCHMARK(BM_ComputeKey_Tolerance)->Arg(1)->Arg(4);
+
 void BM_Tht_InsertEvictCycle(benchmark::State& state) {
   // Small M so every insert in steady state also evicts.
   TaskHistoryTable tht(4, 4);

@@ -1,7 +1,10 @@
 #include "atm/hash_key.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <type_traits>
 
 #include "atm/input_sampler.hpp"
 
@@ -69,7 +72,7 @@ constexpr double kProbeBand = 0.25;
 class QuantAccumulator {
  public:
   QuantAccumulator(std::uint64_t seed, const ToleranceSpec& spec) noexcept
-      : seed_(seed), spec_(spec), max_probes_(spec.clamped_probes()) {}
+      : seed_(seed), grid_(spec), max_probes_(spec.clamped_probes()) {}
 
   /// Feed one element. `global_off` is the byte offset of the element start
   /// in the concatenated-inputs view (the position salt — identical for
@@ -79,36 +82,54 @@ class QuantAccumulator {
            std::size_t global_off) noexcept {
     std::uint64_t raw = 0;
     std::memcpy(&raw, data, avail < 8 ? avail : 8);
-    const std::uint64_t pos =
-        splitmix64(seed_ ^ (static_cast<std::uint64_t>(global_off) *
-                            0x9e3779b97f4a7c15ull));
     Quantized q;
     if (elem == rt::ElemType::F64 && avail == 8) {
-      double v;
-      std::memcpy(&v, data, 8);
-      q = quantize_value(v, raw, spec_);
+      q = grid_.quantize(load<double>(data), raw);
     } else if (elem == rt::ElemType::F32 && avail >= 4) {
-      float f;
-      std::memcpy(&f, data, 4);
-      q = quantize_value(static_cast<double>(f), raw, spec_,
+      const float f = load<float>(data);
+      q = grid_.quantize(static_cast<double>(f), raw,
                          std::fpclassify(f) == FP_SUBNORMAL);
     } else {
       q.cell = splitmix64(raw ^ (static_cast<std::uint64_t>(avail) << 56));
     }
-    const std::uint64_t contrib = splitmix64(pos ^ splitmix64(q.cell));
-    acc_ ^= contrib;
-    ++count_;
+    feed(global_off, q, [&q] { return q.neighbor; });
+  }
 
-    if (max_probes_ == 0 || !q.probeable) return;
-    const double score = q.frac < 0.0 ? -q.frac : q.frac;
-    if (score < kProbeBand) return;
-    if (cand_count_ == max_probes_ && score <= cands_[cand_count_ - 1].score) return;
-    // Keep the candidate list sorted: closest to the boundary first, feed
-    // order breaking ties (insertion into <= kMaxKeyProbes slots).
-    const Candidate c{score, contrib ^ splitmix64(pos ^ splitmix64(q.neighbor))};
-    unsigned i = cand_count_ < max_probes_ ? cand_count_++ : max_probes_ - 1;
-    for (; i > 0 && cands_[i - 1].score < score; --i) cands_[i] = cands_[i - 1];
-    cands_[i] = c;
+  /// Feed the `n` whole elements of type T (float or double) starting at
+  /// `data`, the first at global offset `global_off`: the same result as n
+  /// add() calls, but in batches of two passes. Pass 1 classifies each
+  /// element and does its one log (or division) — independent calls the
+  /// CPU can overlap. Pass 2 mixes and admits probes in feed order, so probe
+  /// ties break as in add(). Special values take add().
+  template <typename T>
+  void add_whole(const std::uint8_t* data, std::size_t n,
+                 std::size_t global_off) noexcept {
+    constexpr rt::ElemType kElem =
+        std::is_same_v<T, float> ? rt::ElemType::F32 : rt::ElemType::F64;
+    // Marks an element off the grid; a grid coordinate is never NaN.
+    constexpr double kOffGrid = std::numeric_limits<double>::quiet_NaN();
+    for (std::size_t begin = 0; begin < n; begin += kBatch) {
+      const std::size_t m = std::min(kBatch, n - begin);
+      const std::uint8_t* batch = data + begin * sizeof(T);
+      for (std::size_t i = 0; i < m; ++i) {
+        const T v = load<T>(batch + i * sizeof(T));
+        coords_[i] = grid_.on_grid(v) ? grid_.coord(static_cast<double>(v)) : kOffGrid;
+      }
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::uint8_t* elem = batch + i * sizeof(T);
+        const std::size_t off = global_off + (begin + i) * sizeof(T);
+        const double x = coords_[i];
+        if (std::isnan(x)) {
+          add(kElem, elem, sizeof(T), off);
+          continue;
+        }
+        std::uint64_t raw = 0;
+        std::memcpy(&raw, elem, sizeof(T));
+        const bool negative = load<T>(elem) < T{0};
+        feed(off, grid_.place(x, negative, raw),
+             [&] { return grid_.neighbor(x, negative); });
+      }
+    }
   }
 
   [[nodiscard]] KeyResult finalize(std::size_t bytes_hashed,
@@ -132,13 +153,57 @@ class QuantAccumulator {
     std::uint64_t delta = 0;  ///< contrib(cell) ^ contrib(neighbor)
   };
 
+  template <typename T>
+  [[nodiscard]] static T load(const std::uint8_t* data) noexcept {
+    T v;
+    std::memcpy(&v, data, sizeof v);
+    return v;
+  }
+
+  /// XOR one quantized element into the key and offer it as a probe
+  /// candidate. `neighbor()` yields q's neighboring cell; it runs only for
+  /// an admitted candidate.
+  template <typename NeighborFn>
+  void feed(std::size_t global_off, const Quantized& q, NeighborFn neighbor) noexcept {
+    const std::uint64_t pos =
+        splitmix64(seed_ ^ (static_cast<std::uint64_t>(global_off) *
+                            0x9e3779b97f4a7c15ull));
+    const std::uint64_t contrib = splitmix64(pos ^ splitmix64(q.cell));
+    acc_ ^= contrib;
+    ++count_;
+    const double score = std::fabs(q.frac);
+    if (q.probeable && admits(score)) {
+      insert(score, contrib ^ splitmix64(pos ^ splitmix64(neighbor())));
+    }
+  }
+
+  /// Whether an element `score` cell widths from its cell center enters the
+  /// probe list. Every kept score is >= kProbeBand, so once the list is
+  /// full, beating the worst kept score implies the band test; an equal
+  /// score loses to the earlier element.
+  [[nodiscard]] bool admits(double score) const noexcept {
+    if (cand_count_ < max_probes_) return score >= kProbeBand;
+    return cand_count_ != 0 && score > cands_[cand_count_ - 1].score;
+  }
+
+  /// Keep the candidate list sorted: closest to the boundary first, feed
+  /// order breaking ties (insertion into <= kMaxKeyProbes slots).
+  void insert(double score, std::uint64_t delta) noexcept {
+    unsigned i = cand_count_ < max_probes_ ? cand_count_++ : max_probes_ - 1;
+    for (; i > 0 && cands_[i - 1].score < score; --i) cands_[i] = cands_[i - 1];
+    cands_[i] = Candidate{score, delta};
+  }
+
+  static constexpr std::size_t kBatch = 64;
+
   std::uint64_t seed_;
-  const ToleranceSpec& spec_;
+  Quantizer grid_;
   unsigned max_probes_;
   std::uint64_t acc_ = 0;
   std::uint64_t count_ = 0;
   unsigned cand_count_ = 0;
   std::array<Candidate, kMaxKeyProbes> cands_{};
+  std::array<double, kBatch> coords_{};  ///< add_whole's pass-1 grid coordinates
 };
 
 }  // namespace
@@ -275,19 +340,30 @@ KeyResult compute_key(const rt::Task& task, const GatherPlan& plan,
         oob += offset + length - a.bytes;
         length = a.bytes - offset;
       }
+      if (length == 0) continue;  // selects no byte, so touches no element
       // Widen the sampled byte range to the elements it touches: the cell
       // of an element is a function of its full value, not of which of its
       // bytes the shuffle happened to select.
-      std::size_t first = offset / esize;
-      const std::size_t last = (offset + length - 1) / esize;
-      if (first < next_elem) first = next_elem;
-      for (std::size_t e = first; e <= last && e * esize < a.bytes; ++e) {
-        const std::size_t start = e * esize;
-        const std::size_t avail = std::min(esize, a.bytes - start);
-        acc.add(a.elem, base + start, avail, region_base + start);
-        hashed += avail;
+      std::size_t e = std::max(offset / esize, next_elem);
+      const std::size_t end = (offset + length - 1) / esize + 1;
+      if (e >= end) continue;
+      next_elem = end;
+      hashed += std::min(end * esize, a.bytes) - e * esize;
+      // Whole float elements go through the batched path; integers and a
+      // partial trailing element are fed one at a time.
+      const std::size_t whole_end = std::min(end, a.bytes / esize);
+      const std::size_t start = e * esize;
+      if (e < whole_end && a.elem == rt::ElemType::F64) {
+        acc.add_whole<double>(base + start, whole_end - e, region_base + start);
+        e = whole_end;
+      } else if (e < whole_end && a.elem == rt::ElemType::F32) {
+        acc.add_whole<float>(base + start, whole_end - e, region_base + start);
+        e = whole_end;
       }
-      if (last + 1 > next_elem) next_elem = last + 1;
+      for (; e < end; ++e) {
+        const std::size_t at = e * esize;
+        acc.add(a.elem, base + at, std::min(esize, a.bytes - at), region_base + at);
+      }
     }
     region_base += a.bytes;
     ++region;

@@ -17,6 +17,9 @@
 // ones: NaNs collapse into one NaN cell, each infinity gets its own, and
 // denormals match bit-exactly (their magnitudes are far below any sane
 // epsilon, so grid-quantizing them would alias everything onto cell 0).
+// A value whose cell index would leave the int64 range (a huge value on a
+// fine absolute grid, or nearly any value at a relative epsilon below
+// ~4e-17) also matches exactly, on either grid.
 //
 // Key composition is a Zobrist XOR: each element contributes
 // splitmix64(position_hash ^ splitmix64(cell)), and the key is the XOR of
@@ -73,7 +76,8 @@ struct Quantized {
   double frac = 0.0;           ///< signed offset from the cell center, in cell
                                ///< widths (in [-0.5, 0.5]; 0 for specials)
   bool probeable = false;      ///< grid value with a meaningful neighbor cell
-  std::uint64_t neighbor = 0;  ///< nearest neighboring cell (valid iff probeable)
+  std::uint64_t neighbor = 0;  ///< nearest neighboring cell (set by
+                               ///< Quantizer::quantize iff probeable)
 };
 
 namespace tol_detail {
@@ -86,6 +90,11 @@ inline constexpr std::uint64_t kInfTag = 0x14f1;
 inline constexpr std::uint64_t kDenormTag = 0xde40;
 inline constexpr std::uint64_t kZeroTag = 0x2e80;
 
+/// Cell indexes stay below this magnitude (~2^62, so index +- 1 cannot
+/// overflow either); a value whose grid coordinate lies beyond it matches
+/// exactly on its raw bits instead.
+inline constexpr double kIndexLimit = 4.6e18;
+
 [[nodiscard]] inline std::uint64_t grid_cell(std::int64_t index,
                                              bool negative) noexcept {
   // Pack the sign into bit 0 so the relative grid (which quantizes |v|)
@@ -96,71 +105,121 @@ inline constexpr std::uint64_t kZeroTag = 0x2e80;
 }
 }  // namespace tol_detail
 
-/// Quantize one sampled element value under `spec` (which must be active).
-/// `raw_bits` are the element's unmodified bits, used for the exact-match
-/// special classes (denormals); pass the zero-extended payload for elements
-/// narrower than 8 bytes. `subnormal` forces the denormal class for values
-/// whose *source* representation is subnormal (an F32 denormal widens to a
-/// perfectly normal double, so the caller must classify before widening).
-[[nodiscard]] inline Quantized quantize_value(double v, std::uint64_t raw_bits,
-                                              const ToleranceSpec& spec,
-                                              bool subnormal = false) noexcept {
-  using namespace tol_detail;
-  Quantized q;
-  switch (subnormal ? FP_SUBNORMAL : std::fpclassify(v)) {
-    case FP_NAN:
-      // All NaNs share one cell: a NaN input matches exactly the runs that
-      // also produced NaN there, and never a finite value.
-      q.cell = splitmix64(kNanTag);
-      return q;
-    case FP_INFINITE:
-      q.cell = splitmix64(kInfTag ^ static_cast<std::uint64_t>(v < 0.0));
-      return q;
-    case FP_SUBNORMAL:
-      // Exact matching: denormals are orders of magnitude below any usable
-      // epsilon; grid cells would collapse them all (and zero) together.
-      q.cell = splitmix64(kDenormTag ^ raw_bits);
-      return q;
-    default:
-      break;
+/// The grid of one active ToleranceSpec, with its per-spec constants
+/// computed once. quantize_value and both key paths go through it, so the
+/// grid math exists once. A grid value costs one division on the absolute
+/// grid, or one log and a division on the relative grid.
+class Quantizer {
+ public:
+  explicit Quantizer(const ToleranceSpec& spec) noexcept
+      : absolute_(spec.abs > 0.0),
+        // Cell width in grid units: 2*eps on the absolute grid; on the
+        // relative grid twice the log-space half-width log1p(eps). Cell
+        // centers are then r^k with r = (1 + eps)^2: a value within eps of a
+        // center stays inside its cell, and two values whose ratio exceeds r
+        // are always at least one full cell apart.
+        width_(absolute_ ? 2.0 * spec.abs : 2.0 * std::log1p(spec.rel)) {}
+
+  /// Whether `v`, in its source type (float or double), lies on the grid:
+  /// finite and normal, and on the absolute grid also zero. Every other
+  /// value takes a special class in quantize(). Classify before widening:
+  /// an F32 subnormal widens to a normal double.
+  template <typename T>
+  [[nodiscard]] bool on_grid(T v) const noexcept {
+    return std::isnormal(v) || (absolute_ && v == T{0});
   }
 
-  if (spec.abs > 0.0) {
-    // Absolute grid: centers at k * 2*eps (zero is the center of cell 0).
-    const double step = 2.0 * spec.abs;
-    const double x = v / step;
-    const double r = std::nearbyint(x);
-    // Values beyond the grid's index range (|x| ~ 2^62) match exactly.
-    if (!(std::fabs(r) < 4.6e18)) {
+  /// Grid coordinate of an on-grid value: its cell index is rint(x), and
+  /// x - rint(x) its signed offset from the cell center, in cell widths.
+  /// The division stays: multiplying by 1/width would round differently.
+  [[nodiscard]] double coord(double v) const noexcept {
+    return (absolute_ ? v : std::log(std::fabs(v))) / width_;
+  }
+
+  /// The cell of grid coordinate `x`, for a value of sign `negative` (the
+  /// relative grid quantizes |v| and keeps the sign apart; the absolute grid
+  /// ignores it). Fills cell, frac and probeable; the neighbor is left to
+  /// neighbor(), which only a probe candidate needs. A coordinate past the
+  /// index range falls back to an exact, unprobeable cell from `raw_bits`.
+  [[nodiscard]] Quantized place(double x, bool negative,
+                                std::uint64_t raw_bits) const noexcept {
+    using namespace tol_detail;
+    Quantized q;
+    // rint and nearbyint agree under the default rounding mode, which
+    // nothing here changes; nearbyint is a libm call that saves and
+    // restores the FP environment, while GCC inlines rint.
+    const double r = std::rint(x);
+    if (!(std::fabs(r) < kIndexLimit)) {
       q.cell = splitmix64(kGridTag ^ raw_bits);
       return q;
     }
-    const auto index = static_cast<std::int64_t>(r);
-    q.cell = grid_cell(index, false);
+    q.cell = grid_cell(static_cast<std::int64_t>(r), negative && !absolute_);
     q.frac = x - r;
     q.probeable = true;
-    q.neighbor = grid_cell(q.frac >= 0.0 ? index + 1 : index - 1, false);
     return q;
   }
 
-  // Relative grid over |v|, sign kept separately. Cell centers are r^k with
-  // r = (1 + eps)^2: a value within eps of a center stays inside the cell's
-  // log-space half-width log1p(eps), and two values whose ratio exceeds r
-  // are always at least one full cell apart.
-  if (v == 0.0) {
-    q.cell = splitmix64(kZeroTag);
+  /// The cell next to place(x, negative, ...)'s, on the side x leans to.
+  /// Valid only where place() returns a probeable cell.
+  [[nodiscard]] std::uint64_t neighbor(double x, bool negative) const noexcept {
+    const double r = std::rint(x);
+    const auto index = static_cast<std::int64_t>(r);
+    return tol_detail::grid_cell(x - r >= 0.0 ? index + 1 : index - 1,
+                                 negative && !absolute_);
+  }
+
+  /// Quantize one value: a special class, or its grid cell and neighbor.
+  /// See quantize_value for the arguments.
+  [[nodiscard]] Quantized quantize(double v, std::uint64_t raw_bits,
+                                   bool subnormal = false) const noexcept {
+    using namespace tol_detail;
+    Quantized q;
+    switch (subnormal ? FP_SUBNORMAL : std::fpclassify(v)) {
+      case FP_NAN:
+        // All NaNs share one cell: a NaN input matches exactly the runs
+        // that also produced NaN there, and never a finite value.
+        q.cell = splitmix64(kNanTag);
+        return q;
+      case FP_INFINITE:
+        q.cell = splitmix64(kInfTag ^ static_cast<std::uint64_t>(v < 0.0));
+        return q;
+      case FP_SUBNORMAL:
+        // Exact matching: denormals are orders of magnitude below any
+        // usable epsilon; grid cells would collapse them all (and zero)
+        // together.
+        q.cell = splitmix64(kDenormTag ^ raw_bits);
+        return q;
+      case FP_ZERO:
+        // Zero is the center of cell 0 on the absolute grid; the relative
+        // grid has no cell for it (log 0), so it gets its own.
+        if (absolute_) break;
+        q.cell = splitmix64(kZeroTag);
+        return q;
+      default:
+        break;
+    }
+    const double x = coord(v);
+    q = place(x, v < 0.0, raw_bits);
+    if (q.probeable) q.neighbor = neighbor(x, v < 0.0);
     return q;
   }
-  const bool negative = v < 0.0;
-  const double half_width = std::log1p(spec.rel);  // > 0 since spec is active
-  const double x = std::log(std::fabs(v)) / (2.0 * half_width);
-  const double r = std::nearbyint(x);
-  const auto index = static_cast<std::int64_t>(r);
-  q.cell = grid_cell(index, negative);
-  q.frac = x - r;
-  q.probeable = true;
-  q.neighbor = grid_cell(q.frac >= 0.0 ? index + 1 : index - 1, negative);
-  return q;
+
+ private:
+  bool absolute_;
+  double width_;
+};
+
+/// Quantize one sampled element value under `spec` (which must be active).
+/// `raw_bits` are the element's unmodified bits, used for the exact-match
+/// special classes (denormals) and for values past the grid's index range;
+/// pass the zero-extended payload for elements narrower than 8 bytes.
+/// `subnormal` forces the denormal class for values whose *source*
+/// representation is subnormal (an F32 denormal widens to a perfectly normal
+/// double, so the caller must classify before widening).
+[[nodiscard]] inline Quantized quantize_value(double v, std::uint64_t raw_bits,
+                                              const ToleranceSpec& spec,
+                                              bool subnormal = false) noexcept {
+  return Quantizer(spec).quantize(v, raw_bits, subnormal);
 }
 
 }  // namespace atm

@@ -12,12 +12,17 @@
 //    key and probe list) in tolerance mode — the Zobrist XOR digest is
 //    gather-order independent, unlike the exact digest;
 //  * near-boundary values emit a probe list that contains the neighboring
-//    cell's primary key (the multi-probe containment property).
+//    cell's primary key (the multi-probe containment property);
+//  * values past the grid's int64 index range get exact cells;
+//  * the key values themselves are pinned, and the batched plan path agrees
+//    with the per-element order path on adversarial tasks.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "atm/hash_key.hpp"
@@ -428,6 +433,357 @@ TEST(ToleranceKey, Float32ElementsQuantize) {
   EXPECT_EQ(compute_key(ta, plan, 9, spec).key, compute_key(tb, plan, 9, spec).key);
   // The exact digest disagrees on the same inputs — the point of the mode.
   EXPECT_NE(compute_key(ta, plan, 9).key, compute_key(tb, plan, 9).key);
+}
+
+// --- the relative grid's index range ---------------------------------------
+
+TEST(ToleranceQuantize, TinyRelativeEpsilonKeepsValuesApart) {
+  // At rel = 1e-20 the grid coordinate log|v| / (2 log1p(rel)) of 100 is
+  // ~2.3e20, far past the int64 cell index. Such values fall back to exact
+  // cells, as on the absolute grid, instead of all sharing one cell.
+  const ToleranceSpec spec{.rel = 1e-20, .probes = 4};
+  const Quantized a = quant(100.0, spec);
+  const Quantized b = quant(5000.0, spec);
+  EXPECT_NE(a.cell, b.cell);
+  EXPECT_FALSE(a.probeable);
+  EXPECT_NE(quant(0.001, spec).cell, quant(3.0, spec).cell);
+
+  const double va = 100.0;
+  const double vb = 5000.0;
+  const auto ta = make_task(&va, 1);
+  const auto tb = make_task(&vb, 1);
+  InputSampler sampler(true, 1);
+  const GatherPlan& plan = sampler.plan_for(0, InputLayout::from_task(ta), 1.0);
+  EXPECT_NE(compute_key(ta, plan, 9, spec).key, compute_key(tb, plan, 9, spec).key);
+}
+
+// --- pinned key values -------------------------------------------------------
+
+/// Fixed inputs for KeysMatchPinnedValues, built with arithmetic only (no
+/// Rng, no libm), so the inputs cannot drift with the code under test.
+struct PinnedInputs {
+  std::vector<double> f64;
+  std::vector<float> f32;
+  std::vector<std::int32_t> i32;
+  std::vector<double> odd;  // backs an F64 region with a 3-byte trailing element
+  // Equal values 0.4 cell widths off center on every grid below: more equal
+  // probe scores than probe slots, so feed order must break the ties.
+  std::vector<double> ties = std::vector<double>(12, 0.74);
+
+  PinnedInputs() {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double dmin = std::numeric_limits<double>::denorm_min();
+    for (int i = 0; i < 40; ++i) f64.push_back((i % 9 - 4) * 0.3719 + i * 0.0173);
+    f64[3] = nan;
+    f64[7] = inf;
+    f64[11] = -inf;
+    f64[13] = dmin;
+    f64[17] = -3.0 * dmin;
+    f64[19] = 0.0;
+    f64[23] = -0.0;
+    f64[29] = 1e300;
+    f64[31] = -1e-300;
+    f64[37] = -2.5e4;
+
+    for (int i = 0; i < 48; ++i) {
+      f32.push_back(static_cast<float>(i % 11 - 5) * 0.219f +
+                    static_cast<float>(i) * 0.011f);
+    }
+    f32[2] = 1e-40f;  // subnormal as a float, normal once widened
+    f32[5] = -1e-41f;
+    f32[8] = std::numeric_limits<float>::quiet_NaN();
+    f32[12] = std::numeric_limits<float>::infinity();
+    f32[15] = 0.0f;
+    f32[21] = -0.0f;
+    f32[30] = -7.5e3f;
+
+    for (int i = 0; i < 16; ++i) i32.push_back(i * i * 37 - 400);
+    for (int i = 0; i < 6; ++i) odd.push_back(1.0 / (i + 3) - 0.2);
+  }
+
+  [[nodiscard]] rt::Task task(int which) const {
+    rt::Task t;
+    switch (which) {
+      case 0:
+        t.accesses.push_back(rt::in(f64.data(), f64.size()));
+        break;
+      case 1:
+        t.accesses.push_back(rt::in(f32.data(), f32.size()));
+        break;
+      case 2:
+        t.accesses.push_back(rt::in(ties.data(), ties.size()));
+        break;
+      default:
+        t.accesses.push_back(
+            {const_cast<double*>(odd.data()), 5 * sizeof(double) + 3, rt::AccessMode::In,
+             rt::ElemType::F64});
+        t.accesses.push_back(rt::in(f32.data(), 20));
+        t.accesses.push_back(rt::in(i32.data(), i32.size()));
+        t.accesses.push_back(rt::in(f64.data(), 24));
+        break;
+    }
+    return t;
+  }
+};
+
+struct PinnedKey {
+  std::uint64_t key;
+  std::size_t bytes_hashed;
+  std::size_t oob;
+  std::vector<std::uint64_t> probes;
+};
+
+/// `r` as a kPinnedKeys row, so a mismatch prints the row to paste.
+std::string as_row(const KeyResult& r) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "{0x%016llxull, %zu, %zu, {",
+                static_cast<unsigned long long>(r.key), r.bytes_hashed, r.oob);
+  std::string row = buf;
+  for (unsigned i = 0; i < r.probe_count; ++i) {
+    std::snprintf(buf, sizeof buf, "%s0x%016llxull", i == 0 ? "" : ", ",
+                  static_cast<unsigned long long>(r.probes[i]));
+    row += buf;
+  }
+  return row + "}},";
+}
+
+bool matches(const KeyResult& r, const PinnedKey& want) {
+  if (r.key != want.key || r.bytes_hashed != want.bytes_hashed || r.oob != want.oob ||
+      r.probe_count != want.probes.size()) {
+    return false;
+  }
+  for (unsigned i = 0; i < r.probe_count; ++i) {
+    if (r.probes[i] != want.probes[i]) return false;
+  }
+  return true;
+}
+
+// Expected results, one row per (task, spec, p) in the loop order below,
+// then the out-of-range plan. Recorded from the per-element implementation
+// that predates batched quantization; a mismatch prints the actual row.
+const std::vector<PinnedKey> kPinnedKeys = {
+    {0x0ef4cd39d8c7af7cull, 320, 0, {}},
+    {0x9c4a7907aba50c14ull, 280, 0, {}},
+    {0x65c44d831fe9446cull, 320, 0, {0x236a7a9a9890c49bull, 0x9e44b91fc9f614f1ull,
+     0x62b16dc9ab9f3be9ull, 0xe2ff7218127d9554ull}},
+    {0x454a0e8999164d27ull, 280, 0, {0x03e439901e6fcdd0ull, 0xbecafa154f091dbaull,
+     0x423f2ec32d6032a2ull, 0xc271311294829c1full}},
+    {0xbb77dd3624fb9492ull, 320, 0, {0xa988700b83ca53c1ull, 0xc4b9a1eb9d957f6full,
+     0xebc318b69685c125ull, 0xb749373128f59f3aull, 0x8683f2112bf4547full,
+     0xb90bddeaff7111beull, 0x3b10e5652100c86dull, 0x12c80ebe6f62b57bull}},
+    {0x0b879b40d4a5cefdull, 280, 0, {0x1978367d739409aeull, 0x7449e79d6dcb2500ull,
+     0x5b335ec066db9b4aull, 0x07b97147d8abc555ull, 0x3673b467dbaa0e10ull,
+     0x09fb9b9c0f2f4bd1ull, 0x8be0a313d15e9202ull, 0xa23848c89f3cef14ull}},
+    {0xfe9fc3d2a8c305d7ull, 320, 0, {0x8820e51cd37c440dull, 0x1f27f9aa40ca91d0ull,
+     0xdcf4885c0c72a9b4ull, 0x6760e70f0557468aull}},
+    {0xf83539ec6d9cad8cull, 280, 0, {0x8e8a1f221623ec56ull, 0x198d03948595398bull,
+     0xda5e7262c92d01efull, 0x61ca1d31c008eed1ull}},
+    {0xba9e634773271d65ull, 192, 0, {}},
+    {0x5273e55434ecc9f4ull, 124, 0, {}},
+    {0xf960485248948d40ull, 192, 0, {0xb58f21951b13613dull, 0xa5bfb0f6f8c144f2ull,
+     0x38721e7dbd896c90ull, 0x7235b9e901948c32ull}},
+    {0x2fa208ae45ab733dull, 124, 0, {0x737df00af5feba8full, 0xeeb05e81b0b692edull,
+     0xa4f7f9150cab724full, 0x95097dd5069f5ff0ull}},
+    {0x3d49e11124975260ull, 192, 0, {0x4f65cdc5f9ca7e6full, 0xfbd321314e0ecac9ull,
+     0x0df38d30aaa3acedull, 0x4edfec9fd454bc97ull, 0x9dacc2471f2bec88ull,
+     0xd9152527076ad07bull, 0x8c1e334ab0974feeull, 0x2fd45355444b29fdull}},
+    {0x5ba88f059ff7df5cull, 124, 0, {0x2984a3d142aaf353ull, 0x6b12e32411c321d1ull,
+     0x283e828b6f3431abull, 0xfb4dac53a44b61b4ull, 0xeaff5d5e0bf7c2d2ull,
+     0x49353d41ff2ba4c1ull, 0x47c3e57cfb05e239ull, 0x0517f030e6dfedfbull}},
+    {0x8a5f6c0ff86e5f24ull, 192, 0, {0xd7ae8498a9d14994ull, 0x310f96d046adc567ull,
+     0xfb7b48c7c89f182eull, 0x2a7083e9094c653eull}},
+    {0x86046ac10e86ecaeull, 124, 0, {0xdbf582565f39fa1eull, 0x3d54901eb04576edull,
+     0xf7204e093e77aba4ull, 0x6f476d78f865f6f1ull}},
+    {0x3fa7d3adcab1ff03ull, 96, 0, {}},
+    {0x3fa7d3adcab1ff03ull, 96, 0, {}},
+    {0x6a020d79f8713ef3ull, 96, 0, {0x156e159bb5645e30ull, 0x614a8b54243bc635ull,
+     0xcf2d34a2cf7993d2ull, 0x9d95a9df54ef62a6ull}},
+    {0x6a020d79f8713ef3ull, 96, 0, {0x156e159bb5645e30ull, 0x614a8b54243bc635ull,
+     0xcf2d34a2cf7993d2ull, 0x9d95a9df54ef62a6ull}},
+    {0x5ef5708a3c3018d1ull, 96, 0, {}},
+    {0x5ef5708a3c3018d1ull, 96, 0, {}},
+    {0xa90abb7afc5d3aa0ull, 96, 0, {0xb36602246f3c9440ull, 0xa64e1dd97e0a8704ull,
+     0x056b0b2791e1dec6ull, 0x2f11792ce3fedbadull}},
+    {0xa90abb7afc5d3aa0ull, 96, 0, {0xb36602246f3c9440ull, 0xa64e1dd97e0a8704ull,
+     0x056b0b2791e1dec6ull, 0x2f11792ce3fedbadull}},
+    {0x0596b10de62ed5c7ull, 379, 0, {}},
+    {0x1b7fecdab9653ae0ull, 327, 0, {}},
+    {0x1ccaacaed760cf7cull, 379, 0, {0xa4be678c665e8e27ull, 0xeae323c6334dfd03ull,
+     0x7040520a18432cd7ull, 0xf6e05fd31db5a762ull}},
+    {0x3a74f8a3272b7343ull, 327, 0, {0x8200338196153218ull, 0xcc5d77cbc306413cull,
+     0xd05e0bdeedfe1b5dull, 0x2540876d7f7394a3ull}},
+    {0x0b903ad68bf05ecaull, 379, 0, {0x0436dfa6c86c0c1eull, 0x568b469fae15241aull,
+     0x92ad5b6f542ddcdaull, 0xb14d67a812573eb2ull, 0xdcbf6ba87d0c30b3ull,
+     0xa002bd58b442d016ull, 0x75c4d3a77783c4edull, 0xd3344c78ff0fcc06ull}},
+    {0xaf879b9edc03445dull, 327, 0, {0xa0217eee9f9f1689ull, 0xf29ce7d7f9e63e8dull,
+     0x36bafa2703dec64dull, 0x78a8cae02aff2a24ull, 0x04151c10e3b1ca81ull,
+     0xd1d372ef2070de7aull, 0x7723ed30a8fcd691ull, 0x540edb3f03a4d54eull}},
+    {0x8db151b63543cedaull, 379, 0, {0xa6d2deecdf9b4415ull, 0x95e65e942deacfe8ull,
+     0x942437d425bd0decull, 0xfa6a1276ab9d7a52ull}},
+    {0x93396098aa0ea57dull, 327, 0, {0xb85aefc240d62fb2ull, 0x8b6e6fbab2a7a44full,
+     0x8aac06fabaf0664bull, 0xe4e2235834d011f5ull}},
+    {0xb2274743d8200aafull, 24, 44, {0xe533ac424ed03f5full}},
+};
+
+TEST(ToleranceKey, KeysMatchPinnedValues) {
+  // Every other key test compares two computations of one build, so a
+  // change to the key formula passes them all. This one pins the values.
+  const PinnedInputs in;
+  const ToleranceSpec specs[] = {
+      {.rel = 1e-3, .probes = 0},
+      {.rel = 2e-2, .probes = 4},
+      {.abs = 1e-3, .probes = 8},
+      {.abs = 5e-2, .probes = 4},
+  };
+  std::vector<KeyResult> got;
+  for (int which = 0; which < 4; ++which) {
+    const rt::Task t = in.task(which);
+    const auto layout = InputLayout::from_task(t);
+    InputSampler sampler(false, 7);  // plain: p = 1/4 leaves some elements out
+    const auto& order = sampler.order_for(0, layout);
+    for (const ToleranceSpec& spec : specs) {
+      for (double p : {1.0, 0.25}) {
+        const KeyResult via_plan =
+            compute_key(t, sampler.plan_for(0, layout, p), kSeed, spec);
+        const KeyResult via_order = compute_key(t, order, p, kSeed, spec);
+        EXPECT_EQ(as_row(via_plan), as_row(via_order))
+            << "task " << which << " p=" << p;
+        got.push_back(via_plan);
+      }
+    }
+  }
+  // A plan built for another layout: clamped and counted as oob.
+  GatherPlan foreign;
+  foreign.runs.push_back({0, 300, 40});  // 20 bytes past the 320-byte region
+  foreign.runs.push_back({0, 400, 8});   // wholly past it
+  foreign.runs.push_back({2, 0, 16});    // a region the task does not have
+  got.push_back(compute_key(in.task(0), foreign, kSeed, specs[1]));
+
+  ASSERT_EQ(got.size(), kPinnedKeys.size()) << [&] {
+    std::string all;
+    for (const KeyResult& r : got) all += as_row(r) + "\n";
+    return all;
+  }();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(matches(got[i], kPinnedKeys[i])) << "row " << i << ": got "
+                                                 << as_row(got[i]);
+  }
+}
+
+// --- differential: batched plan path vs the per-element order path ---------
+
+/// Narrow to float, saturating to +-inf (a double past the float range has
+/// no defined conversion).
+float to_f32(double v) {
+  if (std::fabs(v) > std::numeric_limits<float>::max()) {
+    const float inf = std::numeric_limits<float>::infinity();
+    return v > 0.0 ? inf : -inf;
+  }
+  return static_cast<float>(v);
+}
+
+TEST(ToleranceKey, BatchedPlanPathMatchesPerElementPath) {
+  // The plan path quantizes whole F32/F64 elements in batches; the order
+  // path feeds every element on its own. Over adversarial tasks (special
+  // values, exact score ties, odd-sized regions, tiny and huge epsilons)
+  // the full KeyResult must agree.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double dmin = std::numeric_limits<double>::denorm_min();
+  const double ps[] = {1.0, 0.5, 0.25, 1.0 / 3, 1.0 / 100, 1.0 / 4096};
+  Rng rng(kSeed + 10);
+  double prev = 1.0;
+  auto value = [&]() -> double {
+    const double sign = rng.next_below(2) != 0 ? -1.0 : 1.0;
+    double v = 0.0;
+    switch (rng.next_below(12)) {
+      case 0: v = nan; break;
+      case 1: v = sign * inf; break;
+      case 2: v = sign * dmin * static_cast<double>(1 + rng.next_below(1u << 20)); break;
+      case 3: v = sign * 0.0; break;
+      case 4: v = sign * 1e300 * rng.next_double(1.0, 1.7); break;
+      case 5: v = sign * 1e-300 * rng.next_double(1.0, 1.7); break;
+      case 6: v = prev; break;  // an exact repeat: equal probe scores
+      case 7:
+      case 8: {
+        // Jitter around a few shared centres: near-equal probe scores.
+        static constexpr double kCentres[] = {1.0, 2.5, -3.75, 100.0, 0.002};
+        v = kCentres[rng.next_below(5)] * (1.0 + rng.next_double(-1e-4, 1e-4));
+        break;
+      }
+      default: v = rng.next_double(-1e3, 1e3); break;
+    }
+    prev = v;
+    return v;
+  };
+
+  for (int round = 0; round < 2000; ++round) {
+    // Reserved so no region's storage moves once the task points at it.
+    std::vector<std::vector<double>> f64s;
+    std::vector<std::vector<float>> f32s;
+    std::vector<std::vector<std::int32_t>> i32s;
+    f64s.reserve(4);
+    f32s.reserve(4);
+    i32s.reserve(4);
+    rt::Task t;
+    const auto regions = 1 + rng.next_below(4);
+    for (std::uint64_t r = 0; r < regions; ++r) {
+      const std::size_t n = 1 + rng.next_below(300);
+      switch (rng.next_below(4)) {
+        case 0: {
+          auto& v = f64s.emplace_back(n);
+          for (auto& x : v) x = value();
+          t.accesses.push_back(rt::in(v.data(), v.size()));
+          break;
+        }
+        case 1: {  // 10% of the values subnormal as floats
+          auto& v = f32s.emplace_back(n);
+          for (auto& x : v) {
+            x = rng.next_below(10) == 0
+                    ? std::numeric_limits<float>::denorm_min() *
+                          static_cast<float>(1 + rng.next_below(1000))
+                    : to_f32(value());
+          }
+          t.accesses.push_back(rt::in(v.data(), v.size()));
+          break;
+        }
+        case 2: {
+          auto& v = i32s.emplace_back(n);
+          for (auto& x : v) x = static_cast<std::int32_t>(rng.next_below(7)) - 3;
+          t.accesses.push_back(rt::in(v.data(), v.size()));
+          break;
+        }
+        default: {  // F64 with a 1..7-byte trailing element
+          auto& v = f64s.emplace_back(n);
+          for (auto& x : v) x = value();
+          const std::size_t bytes = (n - 1) * sizeof(double) + 1 + rng.next_below(7);
+          t.accesses.push_back({v.data(), bytes, rt::AccessMode::In, rt::ElemType::F64});
+          break;
+        }
+      }
+    }
+    ToleranceSpec spec;
+    if (rng.next_below(20) == 0) {
+      // Past the relative grid's index range: exact-cell fallbacks.
+      spec.rel = std::pow(10.0, rng.next_double(-22.0, -16.0));
+    } else if (rng.next_below(2) == 0) {
+      spec.rel = std::pow(10.0, rng.next_double(-9.0, -1.0));
+    } else {
+      spec.abs = std::pow(10.0, rng.next_double(-6.0, 2.0));
+    }
+    spec.probes = static_cast<unsigned>(rng.next_below(10));
+    const double p = ps[rng.next_below(std::size(ps))];
+    InputSampler sampler(rng.next_below(2) == 0, 1 + static_cast<std::uint64_t>(round));
+    const auto layout = InputLayout::from_task(t);
+    const KeyResult via_plan =
+        compute_key(t, sampler.plan_for(0, layout, p), kSeed, spec);
+    const KeyResult via_order =
+        compute_key(t, sampler.order_for(0, layout), p, kSeed, spec);
+    ASSERT_EQ(as_row(via_plan), as_row(via_order))
+        << "round " << round << " p=" << p << " rel=" << spec.rel << " abs=" << spec.abs
+        << " probes=" << spec.probes;
+  }
 }
 
 }  // namespace
